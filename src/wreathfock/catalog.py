@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .groups import (FiniteGroup, Homomorphism, Permutation,
                      group_from_permutation_generators,
-                     hom_from_generator_images)
+                     hom_from_generator_images, max_order_cap)
 
 _CYCLIC = re.compile(r"^C(\d+)$")
 _SYMMETRIC = re.compile(r"^S(\d+)$")
@@ -85,6 +85,7 @@ def _dic3() -> FiniteGroup:
 
 
 def is_catalog_name(name: str) -> bool:
+    max_order_cap()  # a bad cap setting raises here, not as an unknown name
     try:
         catalog_group(name)
         return True
@@ -153,7 +154,8 @@ def hom_from_json(doc: dict, registry: dict | None = None,
                   cod: FiniteGroup | None = None) -> Homomorphism:
     """Homomorphism from generator images on the domain's stored generators.
 
-    The map is extended along words and verified on all pairs, exactly as
+    The map is extended along the edges of the Cayley graph of those
+    generators, and checked on every edge, exactly as
     `hom_from_generator_images` does.
     """
     dom = dom if dom is not None else resolve_group(doc["from"], registry)

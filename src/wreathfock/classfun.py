@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import ratlinalg
-from .groups import FiniteGroup, Homomorphism
+from .groups import TABLE_LIMIT, FiniteGroup, Homomorphism
 
 
 def _frac(x) -> Fraction:
@@ -184,8 +184,9 @@ def induce(f: ClassFunction, incl: Homomorphism,
 
     Strategies, interchangeable and agreeing exactly:
 
-    * ``"elements"``: the literal element sum above (enumerates G; the
-      reference oracle).
+    * ``"elements"``: the literal element sum above (enumerates G and, up
+      to order TABLE_LIMIT, builds its Cayley table first; the reference
+      oracle).
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.
@@ -208,6 +209,8 @@ def induce(f: ClassFunction, incl: Homomorphism,
         if not incl.is_injective():
             raise ValueError("induction needs an injective homomorphism")
         preimage = {incl(i): i for i in range(H.order)}
+        if G.order <= TABLE_LIMIT:
+            G.cayley_table()
         g_classes = G.classes
         h_classes = H.classes
         vals = []

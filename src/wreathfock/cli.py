@@ -19,8 +19,8 @@ from .catalog import (catalog_group, is_catalog_name, load_group_file,
 from .fock import (DEFAULT_MAX_LEVEL, change_of_basis, graded_dimension_series,
                    kunneth_generator_identity, monomial_value)
 from .golden import run_all
-from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, Homomorphism,
-                     ResourceLimitError)
+from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
+                     Homomorphism, ResourceLimitError, max_order_cap)
 from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
                        verify_class_ring_decomposition)
 from .wreath import TypeMatrix, centralizer_order, classes_by_type, wreath_group
@@ -368,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_order != DEFAULT_MAX_ORDER:
-        os.environ["WREATHFOCK_MAX_ORDER"] = str(args.max_order)
+    saved = os.environ.get(ENV_MAX_ORDER)
     try:
+        if args.max_order < 1:
+            raise ValueError("--max-order must be a positive integer, "
+                             f"got {args.max_order}")
+        if args.max_order != DEFAULT_MAX_ORDER:
+            os.environ[ENV_MAX_ORDER] = str(args.max_order)
+        max_order_cap()  # a bad WREATHFOCK_MAX_ORDER fails here, by name
         return args.fn(args)
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -378,6 +383,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_MAX_ORDER, None)
+        else:
+            os.environ[ENV_MAX_ORDER] = saved
 
 
 if __name__ == "__main__":

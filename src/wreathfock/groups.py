@@ -3,16 +3,22 @@
 Elements are addressed by stable integer indices; the descriptor type
 (permutation, index pair, wreath tuple, ...) is only touched by the native
 multiplication of each construction.  Index 0 is always the identity.
-Groups of order <= 4096 get a flat Cayley table on first bulk use; larger
-groups always multiply through their native representation.
+
+Bulk operations walk the Cayley graph of a generating set instead of
+multiplying all pairs: `Homomorphism.verify`, `hom_from_generator_images`
+and `subgroup` check every edge (x, x*s), which is |G| * #gens products.
+A group multiplies natively until `FiniteGroup.cayley_table()` is called
+(orders <= 4096 only); from then on `mul` is an array lookup.  The one
+production caller is `classfun.induce(strategy="elements")`, for its
+ambient group before the element sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from array import array
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 200_000
@@ -33,11 +39,23 @@ class NotASubgroupError(ValueError):
 
 
 def max_order_cap(explicit: int | None = None) -> int:
-    """Element cap for group constructions; overridable per call or via env."""
+    """Element cap for group constructions; overridable per call or via env.
+
+    Raises ValueError naming the variable when the env value is not a
+    positive integer.
+    """
     if explicit is not None:
         return explicit
     env = os.environ.get(ENV_MAX_ORDER)
-    return int(env) if env else DEFAULT_MAX_ORDER
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ENV_MAX_ORDER} must be a positive integer, got {env!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +72,13 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
+
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "Permutation":
+        # for image tuples that are permutations by construction
+        p = object.__new__(cls)
+        p.images = images
+        return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -79,13 +104,15 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # function composition: (p*q)(i) = p(q(i))
         p, q = self.images, other.images
-        return Permutation(p[q[i]] for i in range(len(p)))
+        if len(p) != len(q):
+            raise ValueError(f"degrees differ: {len(p)} and {len(q)}")
+        return Permutation._unchecked(tuple(map(p.__getitem__, q)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -305,22 +332,49 @@ class FiniteGroup:
         return k
 
     def cayley_table(self):
-        """Flat row-major multiplication table (orders <= 4096 only)."""
+        """Flat row-major multiplication table (orders <= 4096 only).
+
+        Only the generator columns x*s are native products, |G| per
+        generator.  Every other column follows by array lookups along a
+        breadth-first spanning tree of the Cayley graph: the column of w*s
+        is the column of s read at the column of w, as x*(w*s) = (x*w)*s.
+        """
         if self._table is None:
             n = self.order
             if n > TABLE_LIMIT:
                 raise ResourceLimitError(
                     f"no Cayley table above order {TABLE_LIMIT} (|{self.label}| = {n})")
-            els = self.elements
-            index = self.index
-            mul = self._mul_desc
+            cols, tree = self._generator_columns(self.generator_indices)
+            if len(tree) < n - 1:
+                cols, tree = self._generator_columns(find_generators(self))
             t = array("i", bytes(4 * n * n))
-            for i, a in enumerate(els):
-                base = i * n
-                for j, b in enumerate(els):
-                    t[base + j] = index[mul(a, b)]
+            t[0::n] = array("i", range(n))
+            for w, parent, k in tree:
+                t[w::n] = array("i", itemgetter(*t[parent::n])(cols[k]))
             self._table = t
         return self._table
+
+    def _generator_columns(self, gens):
+        """Native columns x -> x*s for the generators s, and the edges
+        (w, parent, k) with w = parent * gens[k] of a breadth-first spanning
+        tree of the part of the Cayley graph they reach from the identity."""
+        els, index, mul = self.elements, self.index, self._mul_desc
+        cols = [tuple(index[mul(a, els[s])] for a in els) for s in gens]
+        seen = bytearray(len(els))
+        seen[0] = 1
+        tree = []
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k, col in enumerate(cols):
+                    y = col[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        tree.append((y, x, k))
+                        nxt.append(y)
+            frontier = nxt
+        return cols, tree
 
     # -- conjugacy -----------------------------------------------------
 
@@ -411,34 +465,10 @@ def conjugation_orbits(G: FiniteGroup, gens=None):
     return class_of, rep_descs, sizes
 
 
-def _closure_indices(G: FiniteGroup, gens: Sequence[int]) -> set[int]:
-    closed = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in closed:
-                    closed.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closed
-
-
 def find_generators(G: FiniteGroup) -> list[int]:
     """Small generating set, greedily: adjoin the least element outside the
     running closure until the closure is the whole group."""
-    gens: list[int] = []
-    closed = {0}
-    for i in range(G.order):
-        if i in closed:
-            continue
-        gens.append(i)
-        closed = _closure_indices(G, gens)
-        if len(closed) == G.order:
-            break
-    return gens
+    return find_generators_on(G, range(G.order))
 
 
 def centralizer(G: FiniteGroup, x: int) -> list[int]:
@@ -449,51 +479,57 @@ def centralizer(G: FiniteGroup, x: int) -> list[int]:
 def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
     """Subgroup on a subset of element indices, plus its inclusion.
 
-    Membership is verified (identity, closure, inverses); descriptors of the
-    subgroup are the ambient indices, listed in increasing order.
+    The subset is verified to be a subgroup by `find_generators_on`, which
+    raises NotASubgroupError; descriptors of the subgroup are the ambient
+    indices, listed in increasing order.
 
     Returns (S, incl).
     """
     idxs = sorted(set(members))
-    if not idxs or idxs[0] != 0:
-        raise NotASubgroupError("not a subgroup: missing identity")
-    member_set = set(idxs)
-    for a in idxs:
-        if G.inv(a) not in member_set:
-            raise NotASubgroupError(f"not a subgroup: inverse of {a} missing")
-        for b in idxs:
-            if G.mul(a, b) not in member_set:
-                raise NotASubgroupError(
-                    f"not a subgroup: product of {a} and {b} escapes")
+    gens = find_generators_on(G, idxs)
     S = FiniteGroup(label or f"<subgroup of {G.label}, order {len(idxs)}>",
                     idxs, G.mul, inv_desc=G.inv,
-                    generators=[idxs[g] for g in find_generators_on(G, idxs)])
+                    generators=[idxs[g] for g in gens])
     incl = Homomorphism(S, G, images=idxs, label="inclusion")
     return S, incl
 
 
 def find_generators_on(G: FiniteGroup, idxs: Sequence[int]) -> list[int]:
-    # greedy generating set for a sub-carrier, returned as positions in idxs
-    pos = {a: p for p, a in enumerate(idxs)}
+    """Greedy generating set of a subset of G, as positions in idxs: adjoin
+    the least member outside the running closure until the closure is the
+    whole subset.
+
+    This is also the subgroup test.  The closure only multiplies members,
+    so a product outside the subset proves it is not closed and raises
+    NotASubgroupError; a run that ends has shown idxs = <gens>, a subgroup.
+    The closure grows incrementally: elements closed so far need only the
+    new generator's edges, new elements need every generator's.
+    """
+    members = set(idxs)
+    if 0 not in members:
+        raise NotASubgroupError("not a subgroup: missing identity")
     gens: list[int] = []
+    gidx: list[int] = []
     closed = {0}
     for p, a in enumerate(idxs):
         if a in closed:
             continue
         gens.append(p)
-        closed = {0}
-        frontier = [0]
-        gidx = [idxs[g] for g in gens]
+        gidx.append(a)
+        frontier, step = list(closed), [a]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gidx:
+                for g in step:
                     y = G.mul(x, g)
                     if y not in closed:
+                        if y not in members:
+                            raise NotASubgroupError(
+                                f"not a subgroup: product of {x} and {g} escapes")
                         closed.add(y)
                         nxt.append(y)
-            frontier = nxt
-        if len(closed) == len(idxs):
+            frontier, step = nxt, gidx
+        if len(closed) == len(members):
             break
     return gens
 
@@ -537,11 +573,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
                           label="first inclusion")
     incl_H = Homomorphism(H, P, desc_map=lambda d: (0, H.index_of(d)),
                           label="second inclusion")
-    if nG * nH <= 2000:
-        for f in (proj_G, proj_H):
-            f.verify()
-        for f in (incl_G, incl_H):
-            f.verify()
+    for f in (proj_G, proj_H, incl_G, incl_H):
+        f.verify()
     return P, proj_G, proj_H, incl_G, incl_H
 
 
@@ -553,8 +586,9 @@ class Homomorphism:
     """Group homomorphism dom -> cod as a total map on element indices.
 
     Backed by an eager image list, an index-level map, or a descriptor-level
-    map; the image list is materialized on demand.  `verify()` checks
-    multiplicativity over all pairs (exhaustive at desk scale).
+    map; the image list is materialized on demand.  `verify()` proves
+    multiplicativity on all pairs by checking the edges of the Cayley graph
+    of a generating set of the domain.
     """
 
     def __init__(self, dom, cod, images=None, *, index_map=None,
@@ -592,27 +626,29 @@ class Homomorphism:
             return self._desc_map(desc)
         return self.cod.elements[self(self.dom.index_of(desc))]
 
-    def verify(self, sample: int | None = None, seed: int = 0) -> None:
-        """Check f(x*y) == f(x)*f(y); exhaustive unless a sample size is given."""
+    def verify(self) -> None:
+        """Check f(x*y) == f(x)*f(y) for all x, y in the domain.
+
+        Extends the images of a generating set S along every edge (x, x*s)
+        of its Cayley graph and compares the result with f.  A map that
+        agrees with f(x*s) = f(x)*f(s) on every edge satisfies
+        f(x*w) = f(x)*f(w) for every word w in S, by induction on the
+        length of w, and every element is such a word.  Costs
+        2 * |dom| * |S| products and builds no Cayley table.
+        """
         dom, cod = self.dom, self.cod
         f = self.images
         if f[0] != 0:
             raise NotAHomomorphismError("not a homomorphism: identity moves")
-        if dom.order <= TABLE_LIMIT:
-            dom.cayley_table()
-        if cod.order <= TABLE_LIMIT:
-            cod.cayley_table()
-        n = dom.order
-        if sample is None:
-            pairs = ((i, j) for i in range(n) for j in range(n))
-        else:
-            rng = random.Random(seed)
-            pairs = ((rng.randrange(n), rng.randrange(n))
-                     for _ in range(sample))
-        for i, j in pairs:
-            if f[dom.mul(i, j)] != cod.mul(f[i], f[j]):
-                raise NotAHomomorphismError(
-                    f"not a homomorphism: fails at pair ({i}, {j})")
+        gens = dom.generator_indices
+        img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
+        if -1 in img:
+            gens = find_generators(dom)
+            img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
+        if img != f:
+            x = next(x for x, (a, b) in enumerate(zip(img, f)) if a != b)
+            raise NotAHomomorphismError(
+                f"not a homomorphism: fails at element {x}")
 
     def image_set(self) -> set[int]:
         return set(self.images)
@@ -641,41 +677,54 @@ def compose_homs(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
 
 def hom_from_generator_images(dom, gens, cod, images, label=""):
     """The homomorphism sending the given generators of dom to the given
-    images, extended along BFS words and then verified on all pairs.
+    images, extended along the edges of their Cayley graph.
 
-    Raises NotAHomomorphismError if the images are inconsistent, ValueError
-    if the generators do not generate dom.  Generators and images may be
-    element indices or descriptors.
+    Every edge (x, x*s) is checked while extending, which proves the map
+    multiplicative on all pairs (see `Homomorphism.verify`).  Raises
+    NotAHomomorphismError if the images are inconsistent, ValueError if the
+    generators do not generate dom.  Generators and images may be element
+    indices or descriptors.
     """
     gidx = [_as_index(dom, g) for g in gens]
     himg = [_as_index(cod, h) for h in images]
     if len(gidx) != len(himg):
         raise ValueError("generator/image count mismatch")
-    img = [-1] * dom.order
-    img[0] = 0
-    frontier = [0]
-    seen = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, h in zip(gidx, himg):
-                y = dom.mul(x, g)
-                cand = cod.mul(img[x], h)
-                if img[y] < 0:
-                    img[y] = cand
-                    nxt.append(y)
-                    seen += 1
-                elif img[y] != cand:
-                    raise NotAHomomorphismError(
-                        "not a homomorphism: inconsistent generator images")
-        frontier = nxt
+    img = _extend_along_edges(dom, gidx, cod, himg)
+    seen = dom.order - img.count(-1)
     if seen < dom.order:
         raise ValueError(
             f"generators do not generate {dom.label} "
             f"(reached {seen} of {dom.order})")
-    f = Homomorphism(dom, cod, images=img, label=label)
-    f.verify()
-    return f
+    return Homomorphism(dom, cod, images=img, label=label)
+
+
+def _extend_along_edges(dom, gens, cod, gen_images) -> list[int]:
+    """Images of a map with f(e) = e and f(x*s) = f(x)*f(s) on every edge of
+    the Cayley graph of gens, walked breadth-first from the identity; -1
+    marks elements the generators do not reach.
+
+    Raises NotAHomomorphismError at the first edge whose image disagrees
+    with the one already assigned: no homomorphism sends gens to gen_images.
+    """
+    img = [-1] * dom.order
+    img[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            fx = img[x]
+            for s, fs in zip(gens, gen_images):
+                y = dom.mul(x, s)
+                fy = cod.mul(fx, fs)
+                if img[y] < 0:
+                    img[y] = fy
+                    nxt.append(y)
+                elif img[y] != fy:
+                    raise NotAHomomorphismError(
+                        "not a homomorphism: inconsistent generator images "
+                        f"at edge ({x}, {s})")
+        frontier = nxt
+    return img
 
 
 def _as_index(G: FiniteGroup, x) -> int:
@@ -697,15 +746,23 @@ def check_group_axioms(G: FiniteGroup, *, exhaustive_limit: int = 300,
     Identity and inverses are always exhaustive.  Associativity is cubic, so
     it is exhaustive only up to `exhaustive_limit` and seeded-random sampled
     above that.  Returns "exhaustive" or "sampled"; raises on any failure.
+
+    Every product is a native one, never read from `cayley_table()`: that
+    table is derived by assuming associativity, so it cannot test it.
     """
     n = G.order
+    els, index, mul_desc = G.elements, G.index, G._mul_desc
+
+    def mul(i, j):
+        return index[mul_desc(els[i], els[j])]
+
     for i in range(n):
-        if G.mul(0, i) != i or G.mul(i, 0) != i:
+        if mul(0, i) != i or mul(i, 0) != i:
             raise ValueError(f"identity fails at {i}")
-        if G.mul(i, G.inv(i)) != 0 or G.mul(G.inv(i), i) != 0:
+        if mul(i, G.inv(i)) != 0 or mul(G.inv(i), i) != 0:
             raise ValueError(f"inverse fails at {i}")
     if n <= exhaustive_limit:
-        t = G.cayley_table()
+        t = array("i", (index[mul_desc(a, b)] for a in els for b in els))
         rng = range(n)
         for i in rng:
             row_i = i * n
@@ -719,6 +776,6 @@ def check_group_axioms(G: FiniteGroup, *, exhaustive_limit: int = 300,
     rng = random.Random(seed)
     for _ in range(samples):
         i, j, k = (rng.randrange(n) for _ in range(3))
-        if G.mul(G.mul(i, j), k) != G.mul(i, G.mul(j, k)):
+        if mul(mul(i, j), k) != mul(i, mul(j, k)):
             raise ValueError(f"associativity fails at ({i},{j},{k})")
     return "sampled"

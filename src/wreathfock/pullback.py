@@ -64,9 +64,8 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
             f"pullback order {carrier.order} != |G||H|/|K| = {expected}")
     proj_G = compose_homs(pG, incl)
     proj_H = compose_homs(pH, incl)
-    if carrier.order ** 2 <= 500_000:
-        proj_G.verify()
-        proj_H.verify()
+    proj_G.verify()
+    proj_H.verify()
     return PullbackGroup(G, H, K, alpha, beta, P, carrier, incl,
                          proj_G, proj_H)
 
@@ -251,10 +250,7 @@ def semidirect_product_iso(A: FiniteGroup, B: FiniteGroup, n: int):
         return P.index_of((ia, ib))
 
     phi = Homomorphism(W, pb.carrier, desc_map=split, label="wreath split")
-    if W.order ** 2 <= 500_000:
-        phi.verify()
-    else:
-        phi.verify(sample=20_000)
+    phi.verify()
     if not phi.is_injective() or W.order != pb.carrier.order:
         raise AssertionError("wreath split map is not bijective")
     return pb, phi

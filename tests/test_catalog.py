@@ -18,6 +18,12 @@ def test_unknown_names():
     assert is_catalog_name("trivial")
 
 
+def test_bad_cap_setting_is_not_an_unknown_name(monkeypatch):
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "abc")
+    with pytest.raises(ValueError, match="WREATHFOCK_MAX_ORDER"):
+        is_catalog_name("S3")
+
+
 def test_group_json_round_trip(S3):
     doc = group_to_json(S3)
     assert doc == {"name": "S3", "degree": 3,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wreathfock.catalog import catalog_group
 from wreathfock.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,3 +214,31 @@ def test_series_success_path():
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["counts"] == [1, 2, 5, 10, 20]
+
+
+def test_max_order_flag_does_not_leak_into_the_process(monkeypatch, capsys):
+    monkeypatch.delenv("WREATHFOCK_MAX_ORDER", raising=False)
+    assert main(["group", "info", "S4", "--max-order", "50"]) == 0
+    assert "WREATHFOCK_MAX_ORDER" not in os.environ
+    # the catalog build itself, past the lru_cache: S5 is above the old cap
+    assert catalog_group.__wrapped__("S5").order == 120
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "7000")
+    assert main(["group", "info", "S4", "--max-order", "50"]) == 0
+    assert os.environ["WREATHFOCK_MAX_ORDER"] == "7000"
+
+
+def test_bad_env_cap_is_a_usage_error():
+    code, out, err = run_cli("group", "info", "S3",
+                             env={"WREATHFOCK_MAX_ORDER": "abc"})
+    assert code == 2 and out == ""
+    assert "WREATHFOCK_MAX_ORDER must be a positive integer" in err
+    code, _, err = run_cli("group", "info", "S3",
+                           env={"WREATHFOCK_MAX_ORDER": "0"})
+    assert code == 2 and "WREATHFOCK_MAX_ORDER" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_max_order_is_a_usage_error(cap):
+    code, out, err = run_cli("group", "info", "S3", f"--max-order={cap}")
+    assert code == 2 and out == ""
+    assert "--max-order must be a positive integer" in err

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wreathfock.catalog import catalog_group
-from wreathfock.groups import (NotAHomomorphismError, NotASubgroupError,
+from wreathfock.groups import (FiniteGroup, Homomorphism,
+                               NotAHomomorphismError, NotASubgroupError,
                                Permutation, ResourceLimitError, centralizer,
                                check_group_axioms, compose_homs,
                                direct_product, group_from_permutation_generators,
@@ -231,3 +232,169 @@ def test_hom_property_on_dic3(x, y):
     # quotient by <a>: b maps to the flip, a to nothing
     f = hom_from_generator_images(Dic3, Dic3.generator_indices, C2, [1, 0, 0])
     assert f(Dic3.mul(x, y)) == C2.mul(f(x), f(y))
+
+
+# ---------------------------------------------------------------------------
+# generator walks against all-pairs oracles on random permutation groups
+
+
+def native_table(G):
+    """All |G|^2 products, each a native descriptor product."""
+    els, index = G.elements, G.index
+    return [[index[a * b] for b in els] for a in els]
+
+
+def all_pairs_failure(f, dom_table, cod_table):
+    """First pair (x, y) with f(x*y) != f(x)*f(y), or None."""
+    img = f.images
+    if img[0] != 0:
+        return (0, 0)
+    for x, row in enumerate(dom_table):
+        fx = cod_table[img[x]]
+        for y, xy in enumerate(row):
+            if img[xy] != fx[img[y]]:
+                return (x, y)
+    return None
+
+
+def all_pairs_closed(table, subset):
+    """Identity, inverses and every product inside the subset."""
+    if 0 not in subset:
+        return False
+    for a in subset:
+        if not any(table[a][b] == 0 for b in subset):
+            return False
+        if any(table[a][b] not in subset for b in subset):
+            return False
+    return True
+
+
+def closure(table, gens):
+    """The subgroup generated by gens, by right multiplication from 0."""
+    closed, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = table[x][g]
+                if y not in closed:
+                    closed.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return closed
+
+
+def greedy_generators(table, idxs):
+    """Least member outside the closure so far, from-scratch closures."""
+    gens, closed = [], {0}
+    for p, a in enumerate(idxs):
+        if a in closed:
+            continue
+        gens.append(p)
+        closed = closure(table, [idxs[g] for g in gens])
+        if len(closed) == len(idxs):
+            break
+    return gens
+
+
+@st.composite
+def perm_groups(draw):
+    """Groups on <= 6 points from 1-3 random generators, of order <= 120 so
+    that the all-pairs oracles stay cheap (A6 and S6 are left out)."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    G = group_from_permutation_generators(degree, [Permutation(g) for g in gens])
+    assume(G.order <= 120)
+    return G
+
+
+def with_generators(G, gens):
+    """G again, uncached, storing the given generator indices (which need
+    not generate G)."""
+    return FiniteGroup(G.label, G.elements, Permutation.__mul__,
+                       inv_desc=Permutation.inverse,
+                       generators=[G.elements[g] for g in gens])
+
+
+walk_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@walk_settings
+@given(perm_groups(), st.booleans())
+def test_generator_column_table_is_the_native_table(G, partial):
+    H = with_generators(G, G.generator_indices[:1] if partial else
+                        G.generator_indices)
+    n = H.order
+    assert [list(H.cayley_table()[i * n:(i + 1) * n])
+            for i in range(n)] == native_table(G)
+
+
+@walk_settings
+@given(perm_groups(), st.booleans(), st.data())
+def test_edge_walk_verify_agrees_with_all_pairs(G, partial, data):
+    table = native_table(G)
+    n = G.order
+    dom = with_generators(G, G.generator_indices[:1] if partial else
+                          G.generator_indices)
+    g = data.draw(st.integers(0, n - 1))
+    inner = [table[table[g][x]][G.inv(g)] for x in range(n)]
+    changed = list(inner)
+    x = data.draw(st.integers(0, n - 1))
+    changed[x] = data.draw(st.integers(0, n - 1))
+    noise = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for images in (inner, changed, noise, [0] + noise[1:]):
+        f = Homomorphism(dom, G, images=images)
+        fails = all_pairs_failure(f, table, table) is not None
+        if fails:
+            with pytest.raises(NotAHomomorphismError):
+                f.verify()
+        else:
+            f.verify()
+    # extending from generator images: sound, and complete on true maps
+    gens = G.generator_indices
+    ext = hom_from_generator_images(G, gens, G, [inner[s] for s in gens])
+    assert ext.images == inner
+    guess = data.draw(st.lists(st.integers(0, n - 1), min_size=len(gens),
+                               max_size=len(gens)))
+    try:
+        ext = hom_from_generator_images(G, gens, G, guess)
+    except NotAHomomorphismError:
+        pass
+    else:
+        assert all_pairs_failure(ext, table, table) is None
+
+
+@walk_settings
+@given(perm_groups(), st.data())
+def test_subgroup_accepts_exactly_the_closed_subsets(G, data):
+    table = native_table(G)
+    n = G.order
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    true = closure(table, picks)
+    flip = data.draw(st.integers(0, n - 1))
+    noise = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    for subset in (true, true ^ {flip}, noise, noise | {0}):
+        if all_pairs_closed(table, subset):
+            S, incl = subgroup(G, subset)
+            idxs = sorted(subset)
+            assert S.order == len(subset)
+            assert [S.elements[g] for g in S.generator_indices] == \
+                [idxs[p] for p in greedy_generators(table, idxs)]
+        else:
+            with pytest.raises(NotASubgroupError):
+                subgroup(G, subset)
+
+
+perms_upto6 = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d))))
+
+
+@given(perms_upto6)
+def test_unchecked_products_equal_validated_ones(pair):
+    p, q = (Permutation(x) for x in pair)
+    prod = p * q
+    assert prod == Permutation([p(q(i)) for i in range(p.degree)])
+    assert Permutation(prod.images) == prod
+    inv = p.inverse()
+    assert Permutation(inv.images) == inv
+    assert (p * inv).is_identity() and (inv * p).is_identity()
