@@ -3,7 +3,7 @@
 Level n is the class-function space of G wr S_n; the product of a level-n
 and a level-m function is induction of their external product along the
 block embedding.  The single-cycle indicators (one per cycle length and
-base class) generate freely: monomials in them hit a triangular, invertible
+base class) generate freely: monomials in them hit a diagonal, invertible
 change of basis against the class indicators.
 """
 

@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 
 from .groups import (FiniteGroup, Homomorphism, Permutation,
-                     group_from_permutation_generators,
+                     ResourceLimitError, group_from_permutation_generators,
                      hom_from_generator_images, max_order_cap)
 
 _CYCLIC = re.compile(r"^C(\d+)$")
@@ -26,10 +26,23 @@ _SYMMETRIC = re.compile(r"^S(\d+)$")
 _DIHEDRAL = re.compile(r"^D(\d+)$")
 
 
-@lru_cache(maxsize=None)
 def catalog_group(name: str) -> FiniteGroup:
     """The built-in group with the given identifier (cached, so repeated
-    lookups share one instance)."""
+    lookups share one instance).
+
+    The element cap is enforced on cache hits too, so a group built under a
+    higher cap is refused under a lower one, as `wreath_group` does.
+    """
+    G = _build_catalog_group(name)
+    cap = max_order_cap()
+    if G.order > cap:
+        raise ResourceLimitError(
+            f"|{name}| = {G.order} exceeds the element cap {cap}")
+    return G
+
+
+@lru_cache(maxsize=None)
+def _build_catalog_group(name: str) -> FiniteGroup:
     if name == "trivial":
         return group_from_permutation_generators(1, [], label="trivial")
     if name == "Dic3":
@@ -64,6 +77,12 @@ def catalog_group(name: str) -> FiniteGroup:
         refl = Permutation((n - i) % n for i in range(n))
         return group_from_permutation_generators(n, [rot, refl], label=name)
     raise KeyError(f"unknown catalog group: {name}")
+
+
+# the lru_cache interface: clear or inspect the cache, or build uncached
+catalog_group.cache_clear = _build_catalog_group.cache_clear
+catalog_group.cache_info = _build_catalog_group.cache_info
+catalog_group.__wrapped__ = _build_catalog_group.__wrapped__
 
 
 def _dic3() -> FiniteGroup:

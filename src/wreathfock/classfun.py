@@ -26,7 +26,11 @@ class ClassFunction:
 
     def __init__(self, group: FiniteGroup, values: Iterable):
         self.group = group
-        vals = tuple(_frac(v) for v in values)
+        vals = tuple(values)
+        for v in vals:
+            if not isinstance(v, Fraction):  # convert only other numbers
+                vals = tuple(map(_frac, vals))
+                break
         if len(vals) != group.classes.num_classes:
             raise ValueError(
                 f"{group.label} has {group.classes.num_classes} classes, "
@@ -101,7 +105,7 @@ class ClassFunction:
 
 
 def zero(G: FiniteGroup) -> ClassFunction:
-    return ClassFunction(G, [0] * G.classes.num_classes)
+    return ClassFunction(G, [Fraction(0)] * G.classes.num_classes)
 
 
 def one(G: FiniteGroup) -> ClassFunction:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 from . import ratlinalg
 from .catalog import (catalog_group, is_catalog_name, load_group_file,
@@ -26,10 +27,32 @@ from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
 from .wreath import TypeMatrix, centralizer_order, classes_by_type, wreath_group
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _write_json(out, obj) -> None:
+    """Write json.dumps(obj, sort_keys=True, separators=(",", ":")) to `out`
+    one dict entry or list item at a time, so a long class list is never
+    held as a single string.  An iterator is written as a list."""
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        out.write("{")
+        for i, key in enumerate(sorted(obj)):
+            out.write(("," if i else "") + _encode(key) + ":")
+            _write_json(out, obj[key])
+        out.write("}")
+    elif isinstance(obj, (list, Iterator)):
+        out.write("[")
+        for i, item in enumerate(obj):
+            out.write(("," if i else "") + _encode(item))
+        out.write("]")
+    else:
+        out.write(_encode(obj))
+
+
 def _emit(args, obj, table: str) -> None:
     if args.format == "json":
-        sys.stdout.write(json.dumps(obj, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        _write_json(sys.stdout, obj)
+        sys.stdout.write("\n")
     else:
         sys.stdout.write(table + "\n")
 
@@ -93,18 +116,23 @@ def cmd_wreath_classes(args) -> int:
     G = _load_base(args.base)
     typed = classes_by_type(G, args.n)
     order = G.order ** args.n * math.factorial(args.n)
-    rows = []
-    for k, (t, _) in enumerate(typed):
-        cent = centralizer_order(G, t)
-        rows.append({"index": k, "type": t.to_json(),
-                     "size": order // cent, "centralizer_order": cent})
-    doc = {"base": G.label, "n": args.n, "order": order,
-           "num_classes": len(typed), "classes": rows}
+
+    def rows():
+        for k, (t, _) in enumerate(typed):
+            cent = centralizer_order(G, t)
+            yield {"index": k, "type": t.to_json(),
+                   "size": order // cent, "centralizer_order": cent}
+
+    if args.format == "json":
+        # each row is written as it is made; a level can have thousands
+        _emit(args, {"base": G.label, "n": args.n, "order": order,
+                     "num_classes": len(typed), "classes": rows()}, "")
+        return 0
     lines = [f"{G.label} wr S{args.n}: order {order}, {len(typed)} classes"]
-    for r in rows:
+    for r in rows():
         lines.append(f"  class {r['index']}: entries {r['type']['entries']}, "
                      f"size {r['size']}, centralizer {r['centralizer_order']}")
-    _emit(args, doc, "\n".join(lines))
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -3,19 +3,24 @@
 The product of class functions on G wr S_n and G wr S_m is their external
 product on the side-by-side subgroup G_n x G_m of G wr S_{n+m}, Frobenius
 induced up.  The default implementation works entirely in type space: a
-pair of classes fuses to the entrywise sum of their types, so
+pair of classes fuses to exactly one class, the entrywise sum of their
+types, so
 
     (f * g)[t] = |C(t)| * sum over t1 + t2 = t of
                  f[t1] g[t2] / (|C(t1)| |C(t2)|),
 
-with all centralizer orders given by the product formula.  The literal
-element-sum induction is kept as the ``"elements"`` oracle strategy; the
-two must agree exactly wherever the ambient group is enumerable.
+with all centralizer orders given by the product formula.  Only the pairs
+of types in the supports of f and g are visited, so a product costs the
+product of the support sizes plus one pass over the ambient classes to lay
+out the dense result.  The literal element-sum induction is kept as the
+``"elements"`` oracle strategy; the two must agree exactly wherever the
+ambient group is enumerable.
 
 The distinguished generators are the indicators of single-n-cycle classes;
 monomials in them, one per colored partition of n, form a basis of level n
-(F(G) is a graded-symmetric algebra on the generators), which the
-change-of-basis matrix certifies by exact invertibility.
+(F(G) is a graded-symmetric algebra on the generators).  The
+change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
+times the indicator of mu, m_i the multiplicities of mu.
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classfun import (ClassFunction, external_product, induce, one,
-                       pullback_along)
+                       pullback_along, zero)
 from .groups import FiniteGroup, direct_product
 from .wreath import (TypeMatrix, WreathElement, WreathGroup,
                      class_count_series, classes_by_type, embed_product,
                      quotient_to_symmetric, wreath_group)
 
 DEFAULT_MAX_LEVEL = 4
+ZERO = Fraction(0)
 
 
 def _wreath_of(f: ClassFunction) -> WreathGroup:
@@ -38,12 +44,23 @@ def _wreath_of(f: ClassFunction) -> WreathGroup:
     return f.group
 
 
+def _weighted_support(f: ClassFunction) -> list:
+    """(type, f[type] / |C(type)|) for the types where f is nonzero."""
+    W = f.group
+    order = W.order
+    return [(t, v / (order // size))
+            for t, v, size in zip(W.types, f.values, W.classes.sizes) if v]
+
+
 def fock_product(f: ClassFunction, g: ClassFunction,
                  strategy: str = "fusion") -> ClassFunction:
     """Graded product F(G) level n x level m -> level n+m.
 
-    ``"fusion"`` never touches elements; ``"elements"`` builds the product
-    group and the embedding and runs the literal induction sum (the oracle).
+    ``"fusion"`` never touches elements: it weights each nonzero value once
+    by its centralizer order, accumulates the products of the weights per
+    fused type t1 + t2, and scales only those entries by |C(t1 + t2)|.
+    ``"elements"`` builds the product group and the embedding and runs the
+    literal induction sum (the oracle).
     """
     Gn, Gm = _wreath_of(f), _wreath_of(g)
     if Gn.base is not Gm.base:
@@ -51,20 +68,18 @@ def fock_product(f: ClassFunction, g: ClassFunction,
     base = Gn.base
     amb = wreath_group(base, Gn.n + Gm.n)
     if strategy == "fusion":
-        acc = [Fraction(0)] * amb.classes.num_classes
-        cn = [Gn.order // s for s in Gn.classes.sizes]
-        cm = [Gm.order // s for s in Gm.classes.sizes]
-        for j1, t1 in enumerate(Gn.types):
-            if f.values[j1] == 0:
-                continue
-            for j2, t2 in enumerate(Gm.types):
-                if g.values[j2] == 0:
-                    continue
-                a = amb.class_index_of_type(t1 + t2)
-                acc[a] += f.values[j1] * g.values[j2] / (cn[j1] * cm[j2])
-        sizes = amb.classes.sizes
-        return ClassFunction(amb, (amb.order // s * x
-                                   for s, x in zip(sizes, acc)))
+        index = amb.class_index_of_type
+        gs = _weighted_support(g)
+        acc: dict = {}
+        for t1, a in _weighted_support(f):
+            for t2, b in gs:
+                k = index(t1 + t2)
+                acc[k] = acc[k] + a * b if k in acc else a * b
+        order, sizes = amb.order, amb.classes.sizes
+        vals = [ZERO] * amb.classes.num_classes
+        for k, x in acc.items():
+            vals[k] = order // sizes[k] * x
+        return ClassFunction(amb, vals)
     if strategy == "elements":
         emb = embed_product(base, Gn.n, Gm.n)
         F = external_product(f, g, emb.dom)
@@ -197,10 +212,7 @@ class FockElement:
 
     def level(self, n: int) -> ClassFunction:
         f = self.levels.get(n)
-        if f is None:
-            Gn = wreath_group(self.base, n)
-            return ClassFunction(Gn, [0] * Gn.classes.num_classes)
-        return f
+        return zero(wreath_group(self.base, n)) if f is None else f
 
     def _compatible(self, other: "FockElement"):
         if self.base is not other.base:

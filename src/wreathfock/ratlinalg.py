@@ -12,8 +12,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _fractions(row) -> list:
+    """A fresh list of the row's entries as Fractions.  Fractions are
+    immutable, so existing ones are shared; only other numbers convert."""
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+
+
 def _copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return [_fractions(row) for row in rows]
 
 
 def rref(rows):
@@ -80,7 +86,8 @@ def solve(rows, rhs):
 def det(rows) -> Fraction:
     m = _copy(rows)
     n = len(m)
-    assert all(len(row) == n for row in m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det needs a square matrix")
     d = ONE
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c] != 0), None)
@@ -117,7 +124,7 @@ def span_select(vectors):
     basis = []  # (pivot column, reduced vector)
     selected = []
     for idx, vec in enumerate(vectors):
-        v = [Fraction(x) for x in vec]
+        v = _fractions(vec)
         for pc, b in basis:
             if v[pc] != 0:
                 f = v[pc]

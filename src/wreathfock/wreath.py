@@ -47,6 +47,13 @@ class TypeMatrix:
         self.entries = tuple(cleaned)
 
     @classmethod
+    def _unchecked(cls, entries: tuple) -> "TypeMatrix":
+        # for entry tuples that are canonical by construction
+        t = object.__new__(cls)
+        t.entries = entries
+        return t
+
+    @classmethod
     def single(cls, r: int, c: int) -> "TypeMatrix":
         return cls([(r, c, 1)])
 
@@ -61,10 +68,11 @@ class TypeMatrix:
         return 0
 
     def __add__(self, other: "TypeMatrix") -> "TypeMatrix":
-        counts: dict = {}
-        for r, c, m in self.entries + other.entries:
+        counts = {(r, c): m for r, c, m in self.entries}
+        for r, c, m in other.entries:
             counts[(r, c)] = counts.get((r, c), 0) + m
-        return TypeMatrix(counts)
+        return TypeMatrix._unchecked(
+            tuple(sorted((r, c, m) for (r, c), m in counts.items())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TypeMatrix) and self.entries == other.entries
@@ -118,47 +126,58 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
 def classes_by_type(G: FiniteGroup, n: int):
     """All conjugacy classes of G wr S_n as (TypeMatrix, representative).
 
-    Enumerates base-class-colored partitions of n; the representative of a
-    type takes consecutive cycles in (r, c) order with the base class
-    representative in the first slot of each cycle.  The list is sorted by
-    the type's entry tuple, so the ordering is reproducible.
+    Enumerates base-class-colored partitions of n, generated in canonical
+    order: ascending by the type's entry tuple, so the ordering is
+    reproducible.  The representative of a type takes consecutive cycles in
+    (r, c) order with the base class representative in the first slot of
+    each cycle.
 
     Requires only the conjugacy classes of G, never G wr S_n itself.
     """
     k = G.classes.num_classes
     pairs = [(r, c) for r in range(1, n + 1) for c in range(k)]
+    # one shared triple per entry (r, c, m), however many types use it
+    triples = [[(r, c, m) for m in range(1, n // r + 1)] for r, c in pairs]
 
     types: list[TypeMatrix] = []
 
     def go(i: int, budget: int, acc: list):
+        # Entry tuples compare by their first differing triple, so every
+        # type using pair i with multiplicity m precedes those using it m+1
+        # times, and all of them precede the types that skip pair i.
         if budget == 0:
-            types.append(TypeMatrix(list(acc)))
+            types.append(TypeMatrix._unchecked(tuple(acc)))
             return
-        if i == len(pairs):
+        if i == len(pairs) or pairs[i][0] > budget:
             return
-        r, c = pairs[i]
-        go(i + 1, budget, acc)
-        for m in range(1, budget // r + 1):
-            acc.append((r, c, m))
-            go(i + 1, budget - r * m, acc)
+        r = pairs[i][0]
+        for e in triples[i][:budget // r]:
+            acc.append(e)
+            go(i + 1, budget - r * e[2], acc)
             acc.pop()
+        go(i + 1, budget, acc)
 
     go(0, n, [])
-    types.sort(key=lambda t: t.entries)
 
+    # Representatives share their permutations: a permutation depends only
+    # on the cycle lengths, so a level has as many as n has partitions.
     reps = G.classes.reps
+    shared_perms: dict = {}
     out = []
     for t in types:
         parts = [0] * n
-        cycles = []
-        pos = 0
+        images: list[int] = []
         for r, c, m in t.entries:
             for _ in range(m):
-                cycles.append(tuple(range(pos, pos + r)))
+                pos = len(images)
                 parts[pos] = reps[c]
-                pos += r
-        rep = WreathElement(tuple(parts), Permutation.from_cycles(n, cycles))
-        out.append((t, rep))
+                images.extend(range(pos + 1, pos + r))
+                images.append(pos)
+        images = tuple(images)
+        perm = shared_perms.get(images)
+        if perm is None:
+            perm = shared_perms[images] = Permutation._unchecked(images)
+        out.append((t, WreathElement(tuple(parts), perm)))
     return out
 
 
@@ -232,9 +251,9 @@ class WreathGroup(FiniteGroup):
         typed = classes_by_type(base, n)
         self.types = [t for t, _ in typed]
         self._type_index = {t: i for i, t in enumerate(self.types)}
-        sizes = [order // centralizer_order(base, t) for t in self.types]
-        for t, size in zip(self.types, sizes):
-            assert size * centralizer_order(base, t) == order
+        cents = [centralizer_order(base, t) for t in self.types]
+        sizes = [order // cent for cent in cents]
+        assert all(size * cent == order for size, cent in zip(sizes, cents))
         type_index = self._type_index
 
         def classify(d: WreathElement) -> int:

@@ -5,10 +5,24 @@ import pytest
 from wreathfock.catalog import (catalog_group, group_from_json, group_to_json,
                                 hom_from_json, is_catalog_name,
                                 load_group_file, resolve_group)
+from wreathfock.groups import ResourceLimitError
 
 
 def test_catalog_is_cached():
     assert catalog_group("S4") is catalog_group("S4")
+
+
+def test_cap_is_checked_on_cache_hits(monkeypatch):
+    monkeypatch.delenv("WREATHFOCK_MAX_ORDER", raising=False)
+    S5 = catalog_group("S5")
+    hits = catalog_group.cache_info().hits
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "50")
+    with pytest.raises(ResourceLimitError, match="S5"):
+        catalog_group("S5")
+    assert catalog_group.cache_info().hits == hits + 1  # refused on a hit
+    assert catalog_group("S4").order == 24
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "120")
+    assert catalog_group("S5") is S5
 
 
 def test_unknown_names():

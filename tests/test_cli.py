@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from wreathfock.catalog import catalog_group
-from wreathfock.cli import main
+from wreathfock.cli import _write_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
@@ -46,6 +47,37 @@ def test_wreath_classes_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] == 48 and doc["num_classes"] == 10
     assert sum(c["size"] for c in doc["classes"]) == 48
+
+
+def test_wreath_classes_table_matches_json(capsys):
+    assert main(["wreath", "classes", "S3", "3"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert main(["wreath", "classes", "S3", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert table[0] == f"S3 wr S3: order {doc['order']}, {doc['num_classes']} classes"
+    assert table[1:] == [f"  class {r['index']}: entries {r['type']['entries']}, "
+                         f"size {r['size']}, centralizer {r['centralizer_order']}"
+                         for r in doc["classes"]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"b": [{"y": 1, "x": [1, 2]}, "s"], "a": None, "c": {"z": "\u00e9", "a": []}},
+    [{"name": "n", "passed": True, "detail": "a\nb"}, {}],
+    {"a": {2: "int keys", 1: None}, "e": 0.5},
+    {},
+    [],
+    "text",
+])
+def test_streamed_json_matches_dumps(doc):
+    out = io.StringIO()
+    _write_json(out, doc)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_streamed_json_writes_an_iterator_as_a_list():
+    out = io.StringIO()
+    _write_json(out, {"rows": (r for r in [{"k": 1}, {"k": 2}])})
+    assert out.getvalue() == '{"rows":[{"k":1},{"k":2}]}'
 
 
 def test_wreath_centralizer(capsys):

@@ -1,6 +1,10 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group
@@ -195,3 +199,107 @@ def test_fock_element_commutative_ring(C2):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# the fusion product against a dense loop and against element sums
+#
+# The fusion product visits only the supports of its factors; the oracles
+# below visit every pair of classes, or every element of the ambient level.
+
+# the highest ambient level used per base
+TOPS = {"trivial": 7, "C2": 5, "C3": 4, "S3": 3}
+# ambient levels whose element-sum induction takes well under a second
+ELEMENT_TOPS = {"trivial": 4, "C2": 3, "C3": 2, "S3": 2}
+
+
+def fused(t1: TypeMatrix, t2: TypeMatrix) -> TypeMatrix:
+    """t1 + t2 by counting, independently of `TypeMatrix.__add__`."""
+    counts = Counter()
+    for t in (t1, t2):
+        for r, c, m in t.entries:
+            counts[(r, c)] += m
+    return TypeMatrix(dict(counts))
+
+
+def dense_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    """The fusion product as a dense loop over every pair of classes."""
+    Gn, Gm = f.group, g.group
+    amb = wreath_group(Gn.base, Gn.n + Gm.n)
+    acc = [Fraction(0)] * amb.classes.num_classes
+    for j1, t1 in enumerate(Gn.types):
+        c1 = Gn.order // Gn.classes.sizes[j1]
+        for j2, t2 in enumerate(Gm.types):
+            c2 = Gm.order // Gm.classes.sizes[j2]
+            k = amb.class_index_of_type(fused(t1, t2))
+            acc[k] += f.values[j1] * g.values[j2] / (c1 * c2)
+    return ClassFunction(amb, [amb.order // size * x
+                               for size, x in zip(amb.classes.sizes, acc)])
+
+
+values = st.fractions(min_value=-5, max_value=5,
+                      max_denominator=6).filter(bool)
+
+
+def sparse_function(data, G, n: int) -> ClassFunction:
+    """A class function on G wr S_n with a random nonempty support and
+    random nonzero rational values on it."""
+    W = wreath_group(G, n)
+    k = W.classes.num_classes
+    support = data.draw(st.sets(st.integers(0, k - 1), min_size=1,
+                                max_size=min(k, 4)))
+    vals = [Fraction(0)] * k
+    for j in support:
+        vals[j] = data.draw(values)
+    return ClassFunction(W, vals)
+
+
+def draw_factors(data, tops, lowest: int):
+    """Factors at levels n and m with n, m >= lowest and n + m <= the top
+    of a random base."""
+    name = data.draw(st.sampled_from(sorted(tops)))
+    G = catalog_group(name)
+    total = data.draw(st.integers(2 * lowest, tops[name]))
+    n = data.draw(st.integers(lowest, total - lowest))
+    return sparse_function(data, G, n), sparse_function(data, G, total - n)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_fusion_equals_dense_loop(data):
+    f, g = draw_factors(data, TOPS, 0)
+    got = fock_product(f, g)
+    assert got == dense_product(f, g)
+    assert all(isinstance(v, Fraction) for v in got.values)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_fusion_equals_element_sums(data):
+    f, g = draw_factors(data, ELEMENT_TOPS, 1)
+    assert fock_product(f, g) == fock_product(f, g, strategy="elements")
+
+
+def test_fusion_of_zero_is_zero():
+    C2 = catalog_group("C2")
+    W1, W2 = wreath_group(C2, 1), wreath_group(C2, 2)
+    f = ClassFunction(W1, [0, 3])
+    z = ClassFunction(W1, [0, 0])
+    assert fock_product(f, z) == ClassFunction(W2, [0] * 5)
+
+
+# ---------------------------------------------------------------------------
+# the change of basis against its closed form
+
+
+@pytest.mark.parametrize("name,top", [("C2", 6), ("S3", 4), ("D8", 4),
+                                      ("Dic3", 3)])
+def test_change_of_basis_is_diagonal_factorials(name, top):
+    G = catalog_group(name)
+    for n in range(top + 1):
+        rows, types = change_of_basis(G, n)
+        assert types == [t for t, _ in classes_by_type(G, n)]
+        for i, t in enumerate(types):
+            weight = math.prod(math.factorial(m) for _, _, m in t.entries)
+            assert rows[i] == [weight if j == i else 0
+                               for j in range(len(types))]

@@ -78,3 +78,75 @@ def test_rank_bounds_and_kernel_dim(m):
     r = rank(m)
     assert 0 <= r <= 3
     assert len(kernel_basis(m)) == 3 - r
+
+
+def test_det_needs_a_square_matrix():
+    # a check that raises, so it holds under python -O too
+    for bad in ([[1, 2]], [[F(1), F(2)], [F(3)]], [[1], [2]]):
+        with pytest.raises(ValueError, match="square"):
+            det(bad)
+    assert det([]) == 1
+
+
+# Mixed int / Fraction input: the elimination shares Fraction entries with
+# its input instead of copying them, so the input must come back untouched,
+# and the result must not depend on how the entries were typed.
+
+int_cell = st.integers(-3, 3)
+frac_cell = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _typed(rows, kinds):
+    """The same matrix with each entry an int or a Fraction, as `kinds`
+    (cycled) says; integral entries only may become ints."""
+    out, k = [], 0
+    for row in rows:
+        new = []
+        for x in row:
+            as_int = kinds[k % len(kinds)] and x.denominator == 1
+            new.append(int(x) if as_int else x)
+            k += 1
+        out.append(new)
+    return out
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    cell = draw(st.sampled_from([int_cell.map(F), frac_cell]))
+    return draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+kinds = st.lists(st.booleans(), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(matrices(square=True), kinds)
+def test_det_leaves_input_and_ignores_entry_types(m, ks):
+    mixed = _typed(m, ks)
+    ints = _typed(m, [True])
+    snapshot = [list(row) for row in mixed]
+    ids = [[id(x) for x in row] for row in mixed]
+    d = det(m)
+    assert det(mixed) == det(ints) == d
+    assert isinstance(det(ints), Fraction)
+    assert mixed == snapshot
+    assert [[id(x) for x in row] for row in mixed] == ids
+
+
+@settings(max_examples=80, derandomize=True)
+@given(matrices(), kinds)
+def test_rref_and_rank_leave_input_and_ignore_entry_types(m, ks):
+    mixed = _typed(m, ks)
+    ints = _typed(m, [True])
+    snapshot = [list(row) for row in mixed]
+    reduced, pivots = rref(m)
+    assert rref(mixed) == rref(ints) == (reduced, pivots)
+    assert all(isinstance(x, Fraction) for row in rref(ints)[0] for x in row)
+    assert rank(mixed) == rank(ints) == len(pivots)
+    assert mixed == snapshot
+    for r, pc in enumerate(pivots):
+        assert reduced[r][pc] == 1
+        assert all(reduced[i][pc] == 0 for i in range(len(reduced)) if i != r)

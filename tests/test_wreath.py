@@ -172,6 +172,13 @@ def test_class_reps_have_their_type(C4):
         assert type_of(C4, rep) == t
 
 
+def test_class_reps_share_one_permutation_per_cycle_shape():
+    G = catalog_group("Dic3")
+    for n, partitions in [(4, 5), (5, 7), (6, 11)]:
+        perms = {id(rep.perm) for _, rep in classes_by_type(G, n)}
+        assert len(perms) == partitions
+
+
 def test_wreath_classes_property_agrees(C2):
     W = wreath_group(C2, 3)
     typed = classes_by_type(C2, 3)
@@ -233,3 +240,21 @@ def test_classes_sorted_canonically(C2):
     typed = classes_by_type(C2, 3)
     keys = [t.entries for t, _ in typed]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name,top", [("trivial", 9), ("C2", 7), ("C3", 6),
+                                      ("C4", 5), ("S3", 5), ("D8", 4),
+                                      ("Dic3", 4)])
+def test_types_are_generated_in_canonical_order(name, top):
+    # types and representatives are built unvalidated, with no final sort
+    G = catalog_group(name)
+    series = class_count_series(G.classes.num_classes, top)
+    for n in range(top + 1):
+        typed = classes_by_type(G, n)
+        entries = [t.entries for t, _ in typed]
+        assert entries == sorted(entries)
+        assert len(set(entries)) == len(entries) == series[n]
+        for t, rep in typed:
+            assert TypeMatrix(t.entries) == t and t.n == n
+            assert sorted(rep.perm.images) == list(range(n))
+            assert type_of(G, rep) == t
