@@ -14,10 +14,9 @@ import os
 import sys
 from collections.abc import Iterator
 
-from . import ratlinalg
 from .catalog import (catalog_group, is_catalog_name, load_group_file,
                       load_hom_file, hom_from_json, resolve_group)
-from .fock import (DEFAULT_MAX_LEVEL, change_of_basis, graded_dimension_series,
+from .fock import (DEFAULT_MAX_LEVEL, graded_dimension_series,
                    kunneth_generator_identity, monomial_value)
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
@@ -63,6 +62,16 @@ def _load_base(name: str) -> FiniteGroup:
     if os.path.exists(name):
         return load_group_file(name)
     raise KeyError(f"unknown group {name!r} (not a catalog name or a file)")
+
+
+def _check_base_classes(G: FiniteGroup, t: TypeMatrix) -> TypeMatrix:
+    """Refuse a type whose entries name a class the base group lacks."""
+    k = G.classes.num_classes
+    for r, c, m in t.entries:
+        if c >= k:
+            raise ValueError(f"entry {[r, c, m]} names base class {c}, but "
+                             f"{G.label} has {k} classes")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +147,8 @@ def cmd_wreath_classes(args) -> int:
 
 def cmd_wreath_centralizer(args) -> int:
     G = _load_base(args.base)
-    t = TypeMatrix.from_json({"n": args.n, "entries": json.loads(args.type)})
-    if t.n != args.n:
-        raise ValueError(f"type entries sum to {t.n}, not {args.n}")
+    t = _check_base_classes(G, TypeMatrix.from_json(
+        {"n": args.n, "entries": json.loads(args.type)}))
     cent = centralizer_order(G, t)
     doc = {"base": G.label, "n": args.n, "type": t.to_json(),
            "centralizer_order": cent}
@@ -234,20 +242,22 @@ def cmd_fock_basis(args) -> int:
     G = _load_base(args.group)
     if args.level > args.max_level:
         raise ValueError(f"level {args.level} above --max-level {args.max_level}")
-    rows, types = change_of_basis(G, args.level)
-    d = ratlinalg.det(rows)
-    doc = {"group": G.label, "level": args.level, "dimension": len(rows),
-           "determinant": f"{d.numerator}/{d.denominator}",
-           "invertible": d != 0}
+    # The change-of-basis matrix is diagonal with entry prod m_i! at each
+    # type (see fock.py), so its determinant is the product of the entries
+    # and never vanishes.
+    types = wreath_group(G, args.level).types
+    d = math.prod(math.factorial(m) for t in types for _, _, m in t.entries)
+    doc = {"group": G.label, "level": args.level, "dimension": len(types),
+           "determinant": f"{d}/1", "invertible": True}
     _emit(args, doc,
-          f"level {args.level} over {G.label}: {len(rows)} generator "
-          f"monomials, determinant {d}, invertible: {d != 0}")
-    return 0 if d != 0 else 1
+          f"level {args.level} over {G.label}: {len(types)} generator "
+          f"monomials, determinant {d}, invertible: True")
+    return 0
 
 
 def cmd_fock_product(args) -> int:
     G = _load_base(args.group)
-    mu = TypeMatrix(json.loads(args.monomial))
+    mu = _check_base_classes(G, TypeMatrix(json.loads(args.monomial)))
     if mu.n > args.max_level:
         raise ValueError(f"monomial level {mu.n} above --max-level "
                          f"{args.max_level}")
@@ -394,6 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# sizes that count levels or letters: 0 is valid, a negative one is not
+_SIZE_ARGS = {"n": "n", "level": "--level", "max": "--max",
+             "max_level": "--max-level"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     saved = os.environ.get(ENV_MAX_ORDER)
@@ -401,6 +416,10 @@ def main(argv=None) -> int:
         if args.max_order < 1:
             raise ValueError("--max-order must be a positive integer, "
                              f"got {args.max_order}")
+        for dest, name in _SIZE_ARGS.items():
+            if getattr(args, dest, 0) < 0:
+                raise ValueError(f"{name} must be a non-negative integer, "
+                                 f"got {getattr(args, dest)}")
         if args.max_order != DEFAULT_MAX_ORDER:
             os.environ[ENV_MAX_ORDER] = str(args.max_order)
         max_order_cap()  # a bad WREATHFOCK_MAX_ORDER fails here, by name

@@ -31,7 +31,7 @@ from .classfun import (ClassFunction, external_product, induce, one,
                        pullback_along, zero)
 from .groups import FiniteGroup, direct_product
 from .wreath import (TypeMatrix, WreathElement, WreathGroup,
-                     class_count_series, classes_by_type, embed_product,
+                     _colored_partitions, class_count_series, embed_product,
                      quotient_to_symmetric, wreath_group)
 
 DEFAULT_MAX_LEVEL = 4
@@ -114,11 +114,13 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     """Square matrix of generator-monomial values on the classes of
     G wr S_n; rows and columns are both indexed by the colored partitions
     of n in their canonical order.  Invertibility says the monomials are a
-    basis of level n.
+    basis of level n.  The matrix is diagonal (see the module docstring),
+    so `fock basis` reports its determinant in closed form; this matrix and
+    its exact determinant are the oracle for that.
 
     Returns (rows, types).
     """
-    types = [t for t, _ in classes_by_type(G, n)]
+    types = wreath_group(G, n).types
     rows = [list(monomial_value(G, t, strategy=strategy).values)
             for t in types]
     return rows, types
@@ -180,8 +182,9 @@ def graded_dimension_series(G: FiniteGroup, N: int):
 
     Returns (counts, series); the two must agree.
     """
-    counts = [len(classes_by_type(G, n)) for n in range(N + 1)]
-    series = class_count_series(G.classes.num_classes, N)
+    k = G.classes.num_classes
+    counts = [len(_colored_partitions(k, n)) for n in range(N + 1)]
+    series = class_count_series(k, N)
     return counts, series
 
 

@@ -123,18 +123,10 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
     return TypeMatrix(counts)
 
 
-def classes_by_type(G: FiniteGroup, n: int):
-    """All conjugacy classes of G wr S_n as (TypeMatrix, representative).
-
-    Enumerates base-class-colored partitions of n, generated in canonical
-    order: ascending by the type's entry tuple, so the ordering is
-    reproducible.  The representative of a type takes consecutive cycles in
-    (r, c) order with the base class representative in the first slot of
-    each cycle.
-
-    Requires only the conjugacy classes of G, never G wr S_n itself.
-    """
-    k = G.classes.num_classes
+def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
+    """The types of G wr S_n for a base with k classes: the partitions of n
+    colored by base classes, in canonical order (ascending by the type's
+    entry tuple)."""
     pairs = [(r, c) for r in range(1, n + 1) for c in range(k)]
     # one shared triple per entry (r, c, m), however many types use it
     triples = [[(r, c, m) for m in range(1, n // r + 1)] for r, c in pairs]
@@ -158,13 +150,26 @@ def classes_by_type(G: FiniteGroup, n: int):
         go(i + 1, budget, acc)
 
     go(0, n, [])
+    return types
 
+
+def classes_by_type(G: FiniteGroup, n: int):
+    """All conjugacy classes of G wr S_n as (TypeMatrix, representative).
+
+    Enumerates base-class-colored partitions of n, generated in canonical
+    order: ascending by the type's entry tuple, so the ordering is
+    reproducible.  The representative of a type takes consecutive cycles in
+    (r, c) order with the base class representative in the first slot of
+    each cycle.
+
+    Requires only the conjugacy classes of G, never G wr S_n itself.
+    """
     # Representatives share their permutations: a permutation depends only
     # on the cycle lengths, so a level has as many as n has partitions.
     reps = G.classes.reps
     shared_perms: dict = {}
     out = []
-    for t in types:
+    for t in _colored_partitions(G.classes.num_classes, n):
         parts = [0] * n
         images: list[int] = []
         for r, c, m in t.entries:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
+from wreathfock.fock import change_of_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
@@ -153,6 +155,64 @@ def test_fock_series(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"] == doc["series"] == [1, 3, 9, 22, 51, 108, 221]
     assert doc["agree"] is True
+
+
+def test_fock_series_counts_above_the_element_cap(capsys):
+    # C2 wr S9 is above the element cap; counting types never builds it
+    assert main(["fock", "series", "C2", "--max", "9",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counts"] == doc["series"] == [1, 2, 5, 10, 20, 36, 65, 110,
+                                              185, 300]
+
+
+@pytest.mark.parametrize("group,level", [("trivial", 4), ("C2", 4),
+                                         ("S3", 3), ("Dic3", 2)])
+def test_fock_basis_determinant_matches_the_det_oracle(capsys, group, level):
+    assert main(["fock", "basis", group, "--level", str(level),
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows, types = change_of_basis(catalog_group(group), level)
+    d = ratlinalg.det(rows)
+    assert doc["determinant"] == f"{d.numerator}/{d.denominator}"
+    assert doc["dimension"] == len(types)
+
+
+@pytest.mark.parametrize("argv,entry", [
+    (["wreath", "centralizer", "C2", "2", "--type", "[[1,5,2]]"], "[1, 5, 2]"),
+    (["fock", "product", "C2", "--monomial", "[[1,0,1],[1,5,1]]"], "[1, 5, 1]"),
+])
+def test_out_of_range_base_class_is_an_input_error(capsys, argv, entry):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"entry {entry} names base class 5, but C2 has 2 classes" \
+        in captured.err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["wreath", "classes", "C2", "-1"], "n"),
+    (["wreath", "centralizer", "C2", "-2", "--type", "[]"], "n"),
+    (["fock", "basis", "C2", "--level", "-1"], "--level"),
+    (["fock", "series", "C2", "--max", "-2"], "--max"),
+    (["fock", "kunneth", "C2", "C3", "--max-level", "-1"], "--max-level"),
+])
+def test_negative_sizes_are_input_errors(capsys, argv, name):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {name} must be a non-negative integer, got -" \
+        in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wreath", "classes", "C2", "0"],
+    ["fock", "basis", "C2", "--level", "0"],
+    ["fock", "series", "C2", "--max", "0"],
+    ["fock", "kunneth", "C2", "C3", "--max-level", "0"],
+])
+def test_level_zero_stays_valid(capsys, argv):
+    assert main(argv) == 0
 
 
 def test_golden_all_pass(capsys):

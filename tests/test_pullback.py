@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_groups import perm_groups
 from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group
-from wreathfock.groups import (Permutation, hom_from_generator_images,
-                               subgroup)
+from wreathfock.classfun import indicator, pullback_along
+from wreathfock.cli import main
+from wreathfock.groups import (Permutation,
+                               group_from_permutation_generators,
+                               hom_from_generator_images, subgroup)
 from wreathfock.pullback import (build_pullback, fusion_pattern,
                                  is_conjugacy_closed, n_cycle_classes_closed,
                                  n_cycle_closed_brute, restriction_map_matrix,
@@ -163,3 +169,115 @@ def test_n_cycle_classes_closed_matches_brute():
     assert fast == brute
     assert len(fast) == 6  # one n-cycle class per base class of C2 x C3
     assert all(closed for _, _, closed in fast)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the exact-rank and element-scan oracles
+
+
+def element_scan_closed(incl):
+    """The element-scan closedness test: classify every subgroup element,
+    then look for another subgroup class among the members of each ambient
+    class, in ambient index order."""
+    sub, amb = incl.dom, incl.cod
+    in_sub = {incl(i): sub.classes.class_of_index(i) for i in range(sub.order)}
+    for j, r in enumerate(sub.classes.reps):
+        a = amb.classes.class_of_index(incl(r))
+        for y in amb.classes.members(a):
+            if in_sub.get(y, j) != j:
+                return False, (amb.elements[incl(r)], amb.elements[y])
+    return True, None
+
+
+def _to_k(G, K):
+    """The sign map onto C2, or the collapse onto the trivial group."""
+    gens = G.generator_indices
+    images = [1 if G.elements[g].sign() < 0 else 0 for g in gens] \
+        if K.order == 2 else [0] * len(gens)
+    return hom_from_generator_images(G, gens, K, images)
+
+
+small_perm_groups = perm_groups().filter(lambda G: G.order <= 24)
+# the sign map is onto C2 only on a group with an odd permutation
+odd_perm_groups = small_perm_groups.filter(
+    lambda G: any(x.sign() < 0 for x in G.elements))
+
+
+def check_against_oracles(pb):
+    """Every closed-form verdict on pb equals its exact-rank or element-scan
+    oracle, and every tensor relation vanishes on the restriction images."""
+    G, H = pb.G, pb.H
+    rep = verify_class_ring_decomposition(pb)
+    pres = tensor_over_classk(pb)
+    assert rep.quotient_dim == pres.quotient_dim
+
+    images = []
+    for rho in range(G.classes.num_classes):
+        f = pullback_along(indicator(G, rho), pb.proj_G)
+        for gam in range(H.classes.num_classes):
+            images.append((f * pullback_along(indicator(H, gam),
+                                              pb.proj_H)).values)
+    for rel in pres.relations:
+        assert not any(sum(c * row[t] for c, row in zip(rel, images) if c)
+                       for t in range(rep.carrier_classes))
+    assert rep.map_rank == ratlinalg.rank(images)
+
+    pattern = fusion_pattern(pb.incl)
+    assert pattern["image_rank"] == \
+        ratlinalg.rank(restriction_map_matrix(pb.incl))
+    scan = element_scan_closed(pb.incl)
+    assert is_conjugacy_closed(pb.incl) == scan
+    assert (rep.conj_closed, rep.witness) == scan
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["trivial", "C2"]), st.data())
+def test_closed_forms_match_rank_oracles(k, data):
+    groups = odd_perm_groups if k == "C2" else small_perm_groups
+    G, H, K = data.draw(groups), data.draw(groups), catalog_group(k)
+    check_against_oracles(build_pullback(_to_k(G, K), _to_k(H, K)))
+
+
+# sign pullbacks of catalog groups, where most are not closed
+@pytest.mark.parametrize("g,h", [("S3", "S3"), ("S3", "D8"), ("C4", "D12"),
+                                 ("D8", "D12"), ("S4", "D8"), ("S4", "S4")])
+def test_sign_pullbacks_match_rank_oracles(g, h):
+    C2 = catalog_group("C2")
+    G, H = catalog_group(g), catalog_group(h)
+    check_against_oracles(build_pullback(_to_k(G, C2), _to_k(H, C2)))
+
+
+# Over C2 an ambient class holds at most two carrier classes.  These
+# subgroups put three subgroup classes in one ambient class, or several
+# ambient classes hold more than one, which is where the witness rule
+# chooses between candidates.
+@pytest.mark.parametrize("degree,sub_gens", [
+    (4, [(1, 0, 3, 2), (2, 3, 0, 1)]),                     # V4 in S4
+    (4, [(1, 2, 0, 3), (1, 0, 3, 2)]),                     # A4 in S4
+    (5, [(1, 0, 2, 3, 4), (0, 1, 3, 2, 4)]),               # C2 x C2 in S5
+    (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+         (0, 1, 2, 3, 5, 4)]),                             # C2^3 in S6
+])
+def test_subgroup_closedness_matches_element_scan(degree, sub_gens):
+    G = catalog_group(f"S{degree}") if degree < 6 else \
+        group_from_permutation_generators(6, [Permutation((1, 2, 3, 4, 5, 0)),
+                                              Permutation((1, 0, 2, 3, 4, 5))])
+    S = group_from_permutation_generators(degree, map(Permutation, sub_gens))
+    _, incl = subgroup(G, [G.index_of(x) for x in S.elements])
+    assert is_conjugacy_closed(incl) == element_scan_closed(incl)
+    assert fusion_pattern(incl)["image_rank"] == \
+        ratlinalg.rank(restriction_map_matrix(incl))
+
+
+def test_production_verdicts_run_no_linear_algebra(monkeypatch, capsys,
+                                                   gamma):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production verdict ran exact linear algebra")
+
+    for name in ("rank", "rref", "det"):
+        monkeypatch.setattr(ratlinalg, name, refuse)
+    assert is_conjugacy_closed(gamma.incl)[0] is False
+    assert fusion_pattern(gamma.incl)["image_rank"] == 5
+    assert verify_class_ring_decomposition(gamma).map_rank == 5
+    assert main(["fock", "basis", "S3", "--level", "3"]) == 0
+    assert "determinant 13824" in capsys.readouterr().out
