@@ -23,7 +23,8 @@ from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
 from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
                        verify_class_ring_decomposition)
-from .wreath import TypeMatrix, centralizer_order, classes_by_type, wreath_group
+from .wreath import (TypeMatrix, _colored_partitions, centralizer_order,
+                     wreath_group)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -64,14 +65,32 @@ def _load_base(name: str) -> FiniteGroup:
     raise KeyError(f"unknown group {name!r} (not a catalog name or a file)")
 
 
-def _check_base_classes(G: FiniteGroup, t: TypeMatrix) -> TypeMatrix:
-    """Refuse a type whose entries name a class the base group lacks."""
+def _type_arg(G: FiniteGroup, flag: str, text: str) -> TypeMatrix:
+    """The type given to `flag` (--type, --monomial): a JSON list of
+    [r, c, m] integer triples, each naming a class c of the base group G.
+
+    Any other value raises ValueError naming the flag and the bad entry.
+    """
+    try:
+        entries = json.loads(text)
+    except ValueError:
+        entries = None
+    if not isinstance(entries, list):
+        raise ValueError(f"{flag} must be a JSON list of [r, c, m] integer "
+                         f"triples, got {text!r}")
     k = G.classes.num_classes
-    for r, c, m in t.entries:
-        if c >= k:
-            raise ValueError(f"entry {[r, c, m]} names base class {c}, but "
-                             f"{G.label} has {k} classes")
-    return t
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 3
+                and all(type(v) is int for v in e)):
+            raise ValueError(f"{flag}: entry {json.dumps(e)} is not an "
+                             "[r, c, m] triple of integers")
+        if e[1] >= k:
+            raise ValueError(f"{flag}: entry {e} names base class {e[1]}, "
+                             f"but {G.label} has {k} classes")
+    try:
+        return TypeMatrix(entries)
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +142,11 @@ def cmd_group_classes(args) -> int:
 
 def cmd_wreath_classes(args) -> int:
     G = _load_base(args.base)
-    typed = classes_by_type(G, args.n)
+    types = _colored_partitions(G.classes.num_classes, args.n)
     order = G.order ** args.n * math.factorial(args.n)
 
     def rows():
-        for k, (t, _) in enumerate(typed):
+        for k, t in enumerate(types):
             cent = centralizer_order(G, t)
             yield {"index": k, "type": t.to_json(),
                    "size": order // cent, "centralizer_order": cent}
@@ -135,9 +154,9 @@ def cmd_wreath_classes(args) -> int:
     if args.format == "json":
         # each row is written as it is made; a level can have thousands
         _emit(args, {"base": G.label, "n": args.n, "order": order,
-                     "num_classes": len(typed), "classes": rows()}, "")
+                     "num_classes": len(types), "classes": rows()}, "")
         return 0
-    lines = [f"{G.label} wr S{args.n}: order {order}, {len(typed)} classes"]
+    lines = [f"{G.label} wr S{args.n}: order {order}, {len(types)} classes"]
     for r in rows():
         lines.append(f"  class {r['index']}: entries {r['type']['entries']}, "
                      f"size {r['size']}, centralizer {r['centralizer_order']}")
@@ -147,8 +166,9 @@ def cmd_wreath_classes(args) -> int:
 
 def cmd_wreath_centralizer(args) -> int:
     G = _load_base(args.base)
-    t = _check_base_classes(G, TypeMatrix.from_json(
-        {"n": args.n, "entries": json.loads(args.type)}))
+    t = _type_arg(G, "--type", args.type)
+    if t.n != args.n:
+        raise ValueError(f"--type entries sum to level {t.n}, not n = {args.n}")
     cent = centralizer_order(G, t)
     doc = {"base": G.label, "n": args.n, "type": t.to_json(),
            "centralizer_order": cent}
@@ -257,7 +277,7 @@ def cmd_fock_basis(args) -> int:
 
 def cmd_fock_product(args) -> int:
     G = _load_base(args.group)
-    mu = _check_base_classes(G, TypeMatrix(json.loads(args.monomial)))
+    mu = _type_arg(G, "--monomial", args.monomial)
     if mu.n > args.max_level:
         raise ValueError(f"monomial level {mu.n} above --max-level "
                          f"{args.max_level}")

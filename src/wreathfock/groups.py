@@ -6,11 +6,16 @@ multiplication of each construction.  Index 0 is always the identity.
 
 Bulk operations walk the Cayley graph of a generating set instead of
 multiplying all pairs: `Homomorphism.verify`, `hom_from_generator_images`
-and `subgroup` check every edge (x, x*s), which is |G| * #gens products.
-A group multiplies natively until `FiniteGroup.cayley_table()` is called
-(orders <= 4096 only); from then on `mul` is an array lookup.  The one
-production caller is `classfun.induce(strategy="elements")`, for its
-ambient group before the element sweep.
+and `subgroup` check every edge (x, x*s), |G| * #gens of them.  They read
+each edge off the right-multiplication column of s (`FiniteGroup.column`),
+the index sequence x -> x*s, made once per element and cached on the
+group.  A column costs |G| native products, or none where the group has
+a Cayley table or is a direct product or a subgroup: those read their
+columns off the table, the factors' columns or the ambient column.
+`mul` stays a single native product until `FiniteGroup.cayley_table()` is
+called (orders <= 4096 only); from then on it is an array lookup.  The one
+production caller of the table is `classfun.induce(strategy="elements")`,
+for its ambient group before the element sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import os
 import random
 from array import array
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 200_000
@@ -56,6 +60,12 @@ def max_order_cap(explicit: int | None = None) -> int:
     if cap < 1:
         raise ValueError(f"{ENV_MAX_ORDER} must be a positive integer, got {env!r}")
     return cap
+
+
+def _gather(seq, idx) -> tuple:
+    """(seq[i] for i in idx) as a tuple; unlike itemgetter(*idx), also a
+    tuple when idx has a single entry."""
+    return tuple(map(seq.__getitem__, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +249,9 @@ class FiniteGroup:
     """
 
     def __init__(self, label, elements, mul_desc, *, inv_desc=None,
-                 generators=(), order=None, classes=None):
+                 generators=(), order=None, classes=None, _column_of=None):
+        # _column_of(s), if given, makes the column of s without native
+        # products: direct products and subgroups derive it
         self.label = label
         self._mul_desc = mul_desc
         self._inv_desc = inv_desc
@@ -251,6 +263,8 @@ class FiniteGroup:
         self._index: dict | None = None
         self._table = None
         self._inverses = None
+        self._columns: dict = {}
+        self._column_of = _column_of
 
     # -- enumeration --------------------------------------------------
 
@@ -306,6 +320,11 @@ class FiniteGroup:
             self._inverses = self._compute_inverses()
         return self._inverses[i]
 
+    def _inverse_array(self):
+        if self._inverses is None:
+            self._inverses = self._compute_inverses()
+        return self._inverses
+
     def _compute_inverses(self):
         els = self.elements
         if self._inv_desc is not None:
@@ -331,13 +350,37 @@ class FiniteGroup:
             k += 1
         return k
 
+    def column(self, s: int) -> Sequence[int]:
+        """The right-multiplication column of s: x -> x*s for every element
+        index x, made once and cached.
+
+        Read off the Cayley table once there is one, else made by the
+        construction's column rule (direct products, subgroups), else by
+        |G| native products.  The identity's column needs no product.
+        """
+        col = self._columns.get(s)
+        if col is None:
+            n = self.order
+            if self._table is not None:
+                col = self._table[s::n]
+            elif s == 0:
+                col = range(n)
+            elif self._column_of is not None:
+                col = self._column_of(s)
+            else:
+                els, mul, d = self.elements, self._mul_desc, self.elements[s]
+                col = _gather(self.index, [mul(a, d) for a in els])
+            self._columns[s] = col
+        return col
+
     def cayley_table(self):
         """Flat row-major multiplication table (orders <= 4096 only).
 
-        Only the generator columns x*s are native products, |G| per
-        generator.  Every other column follows by array lookups along a
-        breadth-first spanning tree of the Cayley graph: the column of w*s
-        is the column of s read at the column of w, as x*(w*s) = (x*w)*s.
+        Starts from the generator columns x*s (`column`, at most |G| native
+        products per generator).  Every other column follows by array
+        lookups along a breadth-first spanning tree of the Cayley graph: the
+        column of w*s is the column of s read at the column of w, as
+        x*(w*s) = (x*w)*s.
         """
         if self._table is None:
             n = self.order
@@ -350,17 +393,16 @@ class FiniteGroup:
             t = array("i", bytes(4 * n * n))
             t[0::n] = array("i", range(n))
             for w, parent, k in tree:
-                t[w::n] = array("i", itemgetter(*t[parent::n])(cols[k]))
+                t[w::n] = array("i", _gather(cols[k], t[parent::n]))
             self._table = t
         return self._table
 
     def _generator_columns(self, gens):
-        """Native columns x -> x*s for the generators s, and the edges
+        """The columns x -> x*s of the generators s, and the edges
         (w, parent, k) with w = parent * gens[k] of a breadth-first spanning
         tree of the part of the Cayley graph they reach from the identity."""
-        els, index, mul = self.elements, self.index, self._mul_desc
-        cols = [tuple(index[mul(a, els[s])] for a in els) for s in gens]
-        seen = bytearray(len(els))
+        cols = [self.column(s) for s in gens]
+        seen = bytearray(self.order)
         seen[0] = 1
         tree = []
         frontier = [0]
@@ -440,7 +482,7 @@ def conjugation_orbits(G: FiniteGroup, gens=None):
     n = G.order
     if gens is None:
         gens = list(G.generator_indices) or find_generators(G)
-    ginv = [G.inv(g) for g in gens]
+    orbit_of = _conjugation_orbit(G, gens)
     class_of = array("i", [-1] * n)
     rep_descs, sizes = [], []
     for seed in range(n):
@@ -448,21 +490,37 @@ def conjugation_orbits(G: FiniteGroup, gens=None):
             continue
         k = len(rep_descs)
         rep_descs.append(G.elements[seed])
-        class_of[seed] = k
-        frontier = [seed]
-        count = 1
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, ginv):
-                    y = G.mul(g, G.mul(x, gi))
-                    if class_of[y] < 0:
-                        class_of[y] = k
-                        nxt.append(y)
-                        count += 1
-            frontier = nxt
-        sizes.append(count)
+        orbit = orbit_of(seed)
+        for y in orbit:
+            class_of[y] = k
+        sizes.append(len(orbit))
     return class_of, rep_descs, sizes
+
+
+def _conjugation_orbit(G: FiniteGroup, gens) -> Callable[[int], list[int]]:
+    """The orbit map x -> [x under conjugation by <gens>], each orbit walked
+    breadth-first along x -> g*x*g^-1 for g in gens.
+
+    Each step is one lookup in a precomputed index sequence: with c the
+    column of g^-1 and inv the inverse array, g*x*g^-1 = inv[c[inv[c[x]]]].
+    """
+    inv = G._inverse_array()
+    steps = []
+    for g in gens:
+        c = G.column(inv[g])
+        steps.append(_gather(inv, _gather(c, _gather(inv, c))))
+
+    def orbit_of(seed: int) -> list[int]:
+        orbit, seen = [seed], {seed}
+        for x in orbit:
+            for step in steps:
+                y = step[x]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        return orbit
+
+    return orbit_of
 
 
 def find_generators(G: FiniteGroup) -> list[int]:
@@ -472,8 +530,13 @@ def find_generators(G: FiniteGroup) -> list[int]:
 
 
 def centralizer(G: FiniteGroup, x: int) -> list[int]:
-    """All s with s*x == x*s; a subgroup containing the identity."""
-    return [s for s in range(G.order) if G.mul(s, x) == G.mul(x, s)]
+    """All s with s*x == x*s; a subgroup containing the identity.
+
+    Reads s*x off the column of x, and x*s = (s^-1 * x^-1)^-1 off the
+    column of x^-1."""
+    inv = G._inverse_array()
+    cx, cxi = G.column(x), G.column(inv[x])
+    return [s for s in range(G.order) if cx[s] == inv[cxi[inv[s]]]]
 
 
 def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
@@ -487,9 +550,18 @@ def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
     """
     idxs = sorted(set(members))
     gens = find_generators_on(G, idxs)
+
+    def column(s):
+        # the ambient column of idxs[s], read at idxs, as positions in idxs
+        try:
+            return _gather(S.index, _gather(G.column(idxs[s]), idxs))
+        except KeyError:
+            raise NotASubgroupError(
+                f"not a subgroup: a product with {idxs[s]} escapes") from None
+
     S = FiniteGroup(label or f"<subgroup of {G.label}, order {len(idxs)}>",
                     idxs, G.mul, inv_desc=G.inv,
-                    generators=[idxs[g] for g in gens])
+                    generators=[idxs[g] for g in gens], _column_of=column)
     incl = Homomorphism(S, G, images=idxs, label="inclusion")
     return S, incl
 
@@ -503,32 +575,33 @@ def find_generators_on(G: FiniteGroup, idxs: Sequence[int]) -> list[int]:
     so a product outside the subset proves it is not closed and raises
     NotASubgroupError; a run that ends has shown idxs = <gens>, a subgroup.
     The closure grows incrementally: elements closed so far need only the
-    new generator's edges, new elements need every generator's.
+    new generator's edges, new elements need every generator's.  Edges are
+    read off the generators' columns.
     """
     members = set(idxs)
     if 0 not in members:
         raise NotASubgroupError("not a subgroup: missing identity")
     gens: list[int] = []
-    gidx: list[int] = []
+    gcols: list[tuple] = []
     closed = {0}
     for p, a in enumerate(idxs):
         if a in closed:
             continue
         gens.append(p)
-        gidx.append(a)
-        frontier, step = list(closed), [a]
+        gcols.append((a, G.column(a)))
+        frontier, step = list(closed), gcols[-1:]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in step:
-                    y = G.mul(x, g)
+                for g, col in step:
+                    y = col[x]
                     if y not in closed:
                         if y not in members:
                             raise NotASubgroupError(
                                 f"not a subgroup: product of {x} and {g} escapes")
                         closed.add(y)
                         nxt.append(y)
-            frontier, step = nxt, gidx
+            frontier, step = nxt, gcols
         if len(closed) == len(members):
             break
     return gens
@@ -537,8 +610,10 @@ def find_generators_on(G: FiniteGroup, idxs: Sequence[int]) -> list[int]:
 def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     """Direct product with projections and inclusions.
 
-    Elements are index pairs (i, j) in lexicographic order, and conjugacy
-    classes are pairs of factor classes, likewise in lexicographic order.
+    Elements are index pairs (i, j) in lexicographic order, so (i, j) has
+    index i*|H| + j, and conjugacy classes are pairs of factor classes,
+    likewise in lexicographic order.  Columns and inverses come from the
+    factors' by that index arithmetic, with no product of pairs.
 
     Returns (P, proj_G, proj_H, incl_G, incl_H).
     """
@@ -551,13 +626,19 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     def mul(a, b):
         return (G.mul(a[0], b[0]), H.mul(a[1], b[1]))
 
-    def inv(a):
-        return (G.inv(a[0]), H.inv(a[1]))
+    def pairs(xs, ys) -> tuple:
+        # the index i*|H| + j of every pair (i, j), i in xs, j in ys
+        return tuple(i + j for i in map(nH.__mul__, xs) for j in ys)
+
+    def column(s):
+        a, b = divmod(s, nH)
+        return pairs(G.column(a), H.column(b))
 
     gens = [(g, 0) for g in G.generator_indices] + \
            [(0, h) for h in H.generator_indices]
     P = FiniteGroup(label or f"({G.label} x {H.label})", elements, mul,
-                    inv_desc=inv, generators=gens)
+                    generators=gens, _column_of=column)
+    P._inverses = array("i", pairs(G._inverse_array(), H._inverse_array()))
     cG, cH = G.classes, H.classes
     kH = cH.num_classes
     sizes = [sa * sb for sa in cG.sizes for sb in cH.sizes]
@@ -565,13 +646,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     P._classes = ConjugacyClasses(
         P, sizes, rep_descs,
         classifier=lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]))
-    proj_G = Homomorphism(P, G, index_map=lambda i: elements[i][0],
+    proj_G = Homomorphism(P, G, index_map=lambda i: i // nH,
                           label="first projection")
-    proj_H = Homomorphism(P, H, index_map=lambda i: elements[i][1],
+    proj_H = Homomorphism(P, H, index_map=lambda i: i % nH,
                           label="second projection")
-    incl_G = Homomorphism(G, P, desc_map=lambda d: (G.index_of(d), 0),
+    incl_G = Homomorphism(G, P, index_map=lambda i: i * nH,
                           label="first inclusion")
-    incl_H = Homomorphism(H, P, desc_map=lambda d: (0, H.index_of(d)),
+    incl_H = Homomorphism(H, P, index_map=lambda j: j,
                           label="second inclusion")
     for f in (proj_G, proj_H, incl_G, incl_H):
         f.verify()
@@ -633,8 +714,10 @@ class Homomorphism:
         of its Cayley graph and compares the result with f.  A map that
         agrees with f(x*s) = f(x)*f(s) on every edge satisfies
         f(x*w) = f(x)*f(w) for every word w in S, by induction on the
-        length of w, and every element is such a word.  Costs
-        2 * |dom| * |S| products and builds no Cayley table.
+        length of w, and every element is such a word.  Reads x*s off the
+        column of s in dom and f(x)*f(s) off the column of f(s) in cod:
+        2 * |dom| * |S| lookups, no product once those columns exist, and
+        no Cayley table.
         """
         dom, cod = self.dom, self.cod
         f = self.images
@@ -708,14 +791,16 @@ def _extend_along_edges(dom, gens, cod, gen_images) -> list[int]:
     """
     img = [-1] * dom.order
     img[0] = 0
+    edges = [(s, dom.column(s), cod.column(fs))
+             for s, fs in zip(gens, gen_images)]
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
             fx = img[x]
-            for s, fs in zip(gens, gen_images):
-                y = dom.mul(x, s)
-                fy = cod.mul(fx, fs)
+            for s, col, fcol in edges:
+                y = col[x]
+                fy = fcol[fx]
                 if img[y] < 0:
                     img[y] = fy
                     nxt.append(y)

@@ -23,8 +23,8 @@ from typing import Optional
 
 from . import ratlinalg
 from .classfun import indicator, pullback_along
-from .groups import (FiniteGroup, Homomorphism, compose_homs, direct_product,
-                     subgroup)
+from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit,
+                     compose_homs, direct_product, subgroup)
 from .wreath import (TypeMatrix, WreathElement, WreathGroup, type_of,
                      wreath_group, quotient_to_symmetric)
 
@@ -305,8 +305,9 @@ def n_cycle_classes_closed(A: FiniteGroup, B: FiniteGroup, n: int):
 def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
     """Brute-force oracle for `n_cycle_classes_closed`: conjugate each
     embedded n-cycle representative by ambient generators to exhaust its
-    A_n x B_n class, then compare the members lying in (A x B) wr S_n
-    against the type-defined class."""
+    A_n x B_n class (the orbit walk of `groups.conjugation_orbits`), then
+    compare the members lying in (A x B) wr S_n against the type-defined
+    class."""
     AB = direct_product(A, B)[0]
     W = wreath_group(AB, n)
     An, Bn = wreath_group(A, n), wreath_group(B, n)
@@ -327,27 +328,14 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
         parts = tuple(pair_index[(a, b)] for a, b in zip(xa.parts, xb.parts))
         return WreathElement(parts, xa.perm)
 
-    gens = list(amb.generator_indices)
-    ginv = [amb.inv(g) for g in gens]
+    orbit_of = _conjugation_orbit(amb, amb.generator_indices)
     out = []
     for idx, t in enumerate(W.types):
         if not (len(t.entries) == 1 and t.entries[0][0] == n
                 and t.entries[0][2] == 1):
             continue
-        seed = amb.index_of(embed(W.classes.rep_descs[idx]))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, ginv):
-                    y = amb.mul(g, amb.mul(x, gi))
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
         closed = True
-        for y in orbit:
+        for y in orbit_of(amb.index_of(embed(W.classes.rep_descs[idx]))):
             w = joint(amb.elements[y])
             if w is not None and W.classes.class_of_desc(w) != idx:
                 closed = False

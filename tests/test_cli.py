@@ -190,6 +190,38 @@ def test_out_of_range_base_class_is_an_input_error(capsys, argv, entry):
         in captured.err
 
 
+COMMANDS_WITH_A_TYPE = [(["wreath", "centralizer", "C2", "2"], "--type"),
+                        (["fock", "product", "C2"], "--monomial")]
+
+
+@pytest.mark.parametrize("argv,flag", COMMANDS_WITH_A_TYPE)
+@pytest.mark.parametrize("value,shown", [
+    ("5", "got '5'"),
+    ('{"a":1}', """got '{"a":1}'"""),
+    ("[[1,0", "got '[[1,0'"),
+    ("[5]", "entry 5 is not an [r, c, m] triple of integers"),
+    ("[[1,0]]", "entry [1, 0] is not an [r, c, m] triple of integers"),
+    ("[[1,0,1,1]]", "entry [1, 0, 1, 1] is not an [r, c, m] triple"),
+    ('[[1,0,"1"]]', 'entry [1, 0, "1"] is not an [r, c, m] triple'),
+    ("[[1.0,0,2]]", "entry [1.0, 0, 2] is not an [r, c, m] triple"),
+    ("[[true,0,2]]", "entry [true, 0, 2] is not an [r, c, m] triple"),
+    ("[[0,0,2]]", "bad type entry (0, 0, 2)"),
+    ("[[2,-1,1]]", "bad type entry (2, -1, 1)"),
+])
+def test_malformed_type_is_an_input_error(capsys, argv, flag, value, shown):
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}")
+    assert shown in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", COMMANDS_WITH_A_TYPE)
+def test_well_formed_type_is_accepted(capsys, argv, flag):
+    assert main(argv + [flag, "[[1,0,1],[1,1,1]]"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,name", [
     (["wreath", "classes", "C2", "-1"], "n"),
     (["wreath", "centralizer", "C2", "-2", "--type", "[]"], "n"),

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wreathfock import groups
 from wreathfock.catalog import catalog_group
 from wreathfock.groups import (FiniteGroup, Homomorphism,
                                NotAHomomorphismError, NotASubgroupError,
                                Permutation, ResourceLimitError, centralizer,
                                check_group_axioms, compose_homs,
-                               direct_product, group_from_permutation_generators,
+                               conjugation_orbits, direct_product,
+                               group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
 
 # ---------------------------------------------------------------------------
@@ -298,10 +300,11 @@ def greedy_generators(table, idxs):
 
 
 @st.composite
-def perm_groups(draw):
-    """Groups on <= 6 points from 1-3 random generators, of order <= 120 so
-    that the all-pairs oracles stay cheap (A6 and S6 are left out)."""
-    degree = draw(st.integers(1, 6))
+def perm_groups(draw, max_degree=6):
+    """Groups on <= max_degree (at most 6) points from 1-3 random
+    generators, of order <= 120 so that the all-pairs oracles stay cheap
+    (A6 and S6 are left out)."""
+    degree = draw(st.integers(1, max_degree))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     G = group_from_permutation_generators(degree, [Permutation(g) for g in gens])
     assume(G.order <= 120)
@@ -383,6 +386,142 @@ def test_subgroup_accepts_exactly_the_closed_subsets(G, data):
         else:
             with pytest.raises(NotASubgroupError):
                 subgroup(G, subset)
+
+
+def product_table(P, G, H):
+    """All |P|^2 products of a direct product, pair by pair from the
+    factors' native tables, located by descriptor."""
+    tG, tH, index = native_table(G), native_table(H), P.index
+    return [[index[(tG[i][a], tH[j][b])] for a, b in P.elements]
+            for i, j in P.elements]
+
+
+def subgroup_table(S, table):
+    """All |S|^2 products of a subgroup, from the ambient native table."""
+    idxs, index = S.elements, S.index
+    return [[index[table[x][y]] for y in idxs] for x in idxs]
+
+
+def columns_of(table):
+    """The right-multiplication column of every element: x -> x*s."""
+    return [[row[s] for row in table] for s in range(len(table))]
+
+
+def assert_verify_iff_all_pairs(f, dom_table, cod_table):
+    if all_pairs_failure(f, dom_table, cod_table) is None:
+        f.verify()
+    else:
+        with pytest.raises(NotAHomomorphismError):
+            f.verify()
+
+
+def change_one(images, data, n):
+    changed = list(images)
+    x = data.draw(st.integers(0, len(images) - 1))
+    changed[x] = data.draw(st.integers(0, n - 1))
+    return changed
+
+
+def small_subgroups(G, table, data):
+    """The subgroup generated by up to 3 drawn elements, and the trivial
+    one."""
+    picks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    return [subgroup(G, closure(table, picks))[0], subgroup(G, [0])[0]]
+
+
+@walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3), st.data())
+def test_columns_are_the_native_columns(G, H, data):
+    table = native_table(G)
+    assert [list(G.column(s)) for s in range(G.order)] == columns_of(table)
+    trivial = catalog_group("trivial")
+    for A, B in ((G, H), (G, trivial), (trivial, H)):
+        P = direct_product(A, B)[0]
+        assert [list(P.column(s)) for s in range(P.order)] == \
+            columns_of(product_table(P, A, B))
+        assert [P.inv(x) for x in range(P.order)] == \
+            [row.index(0) for row in product_table(P, A, B)]
+    for S in small_subgroups(G, table, data):
+        assert [list(S.column(s)) for s in range(S.order)] == \
+            columns_of(subgroup_table(S, table))
+    # once a Cayley table exists, columns are read off it
+    T = with_generators(G, G.generator_indices)
+    T.cayley_table()
+    assert [list(T.column(s)) for s in range(T.order)] == columns_of(table)
+
+
+def test_subgroup_column_refuses_an_escaping_product(S3, monkeypatch):
+    t = S3.index_of(Permutation.from_cycles(3, [(0, 1)]))
+    u = S3.index_of(Permutation.from_cycles(3, [(1, 2)]))
+    # skip the closure test, so the column itself meets t*u
+    monkeypatch.setattr(groups, "find_generators_on", lambda G, idxs: [])
+    S, _ = subgroup(S3, [0, t, u])
+    with pytest.raises(NotASubgroupError):
+        S.column(1)
+
+
+@walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3), st.data())
+def test_verify_on_product_and_subgroup_maps_agrees_with_all_pairs(G, H, data):
+    tG, tH = native_table(G), native_table(H)
+    P, *maps = direct_product(G, H)
+    tP = product_table(P, G, H)
+    tables = {id(G): tG, id(H): tH, id(P): tP}
+    for f in maps:
+        dom_t, cod_t = tables[id(f.dom)], tables[id(f.cod)]
+        assert all_pairs_failure(f, dom_t, cod_t) is None
+        f.verify()
+        changed = Homomorphism(f.dom, f.cod,
+                               images=change_one(f.images, data, f.cod.order))
+        assert_verify_iff_all_pairs(changed, dom_t, cod_t)
+    n = G.order
+    g = data.draw(st.integers(0, n - 1))
+    for S in small_subgroups(G, tG, data):
+        tS = subgroup_table(S, tG)
+        inner = [tG[tG[g][a]][G.inv(g)] for a in S.elements]
+        for images in (S.elements, inner, change_one(inner, data, n)):
+            assert_verify_iff_all_pairs(Homomorphism(S, G, images=images),
+                                        tS, tG)
+
+
+def conjugacy_partition(table):
+    """Classes as frozensets, by conjugating with every element."""
+    n = len(table)
+    inv = [row.index(0) for row in table]
+    return {frozenset(table[table[g][x]][inv[g]] for g in range(n))
+            for x in range(n)}
+
+
+@walk_settings
+@given(perm_groups(), perm_groups(max_degree=3), st.data())
+def test_conjugation_orbits_are_the_conjugacy_classes(G, H, data):
+    table = native_table(G)
+    groups_and_tables = [(G, table)]
+    groups_and_tables += [(S, subgroup_table(S, table))
+                          for S in small_subgroups(G, table, data)]
+    if G.order * H.order <= 240:
+        P = direct_product(G, H)[0]
+        groups_and_tables.append((P, product_table(P, G, H)))
+    for A, t in groups_and_tables:
+        class_of, rep_descs, sizes = conjugation_orbits(A)
+        orbits = [frozenset(x for x in range(A.order) if class_of[x] == k)
+                  for k in range(len(sizes))]
+        assert set(orbits) == conjugacy_partition(t)
+        assert [len(o) for o in orbits] == sizes
+        assert [A.index_of(d) for d in rep_descs] == [min(o) for o in orbits]
+    # any generating set gives the same classes
+    extra = data.draw(st.integers(0, G.order - 1))
+    again = conjugation_orbits(G, list(G.generator_indices) + [extra])
+    assert list(again[0]) == list(conjugation_orbits(G)[0])
+
+
+@walk_settings
+@given(perm_groups(), st.data())
+def test_centralizer_is_the_commuting_set(G, data):
+    table = native_table(G)
+    x = data.draw(st.integers(0, G.order - 1))
+    assert centralizer(G, x) == [s for s in range(G.order)
+                                 if table[s][x] == table[x][s]]
 
 
 perms_upto6 = st.integers(1, 6).flatmap(

@@ -281,3 +281,29 @@ def test_production_verdicts_run_no_linear_algebra(monkeypatch, capsys,
     assert verify_class_ring_decomposition(gamma).map_rank == 5
     assert main(["fock", "basis", "S3", "--level", "3"]) == 0
     assert "determinant 13824" in capsys.readouterr().out
+
+
+def test_building_a_pullback_reads_columns_not_native_products(monkeypatch):
+    """With classes and structure maps in place, building S4 x_C2 D12 over
+    the sign maps derives every product and subgroup column from factor
+    columns: fewer native products than the |S4 x D12| = 288 elements."""
+    native = Permutation.__mul__
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return native(p, q)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    build = catalog_group.__wrapped__     # fresh groups, built counting
+    C2 = build("C2")
+    signs = []
+    for G in (build("S4"), build("D12")):
+        G.classes
+        gens = G.generator_indices
+        signs.append(hom_from_generator_images(
+            G, gens, C2, [int(G.elements[g].sign() < 0) for g in gens]))
+    before = len(calls)
+    pb = build_pullback(*signs)
+    assert pb.product.order == 288 and pb.order == 144
+    assert len(calls) - before < pb.product.order
