@@ -8,7 +8,10 @@ irreducible characters are ever computed.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from . import ratlinalg
@@ -188,9 +191,13 @@ def induce(f: ClassFunction, incl: Homomorphism,
 
     Strategies, interchangeable and agreeing exactly:
 
-    * ``"elements"``: the literal element sum above (enumerates G and, up
-      to order TABLE_LIMIT, builds its Cayley table first; the reference
-      oracle).
+    * ``"elements"``: the literal element sum above, the reference oracle.
+      For each class representative y it sweeps every r in G and counts,
+      as integers, the conjugates r^-1 y r that land in each H-class; each
+      count then scales f on that class once.  r^-1 y is the column of y
+      read at r^-1; up to order TABLE_LIMIT, (r^-1 y) r is read off the
+      Cayley table, built first, and above it is one `G.mul`.  The sweep
+      reads no class map of G, so it is independent of fusion.
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.
@@ -212,19 +219,29 @@ def induce(f: ClassFunction, incl: Homomorphism,
     if strategy == "elements":
         if not incl.is_injective():
             raise ValueError("induction needs an injective homomorphism")
-        preimage = {incl(i): i for i in range(H.order)}
-        if G.order <= TABLE_LIMIT:
-            G.cayley_table()
-        g_classes = G.classes
-        h_classes = H.classes
+        n = G.order
+        # the H-class of every element of G, -1 off the image of incl
+        h_class = array("i", [-1]) * n
+        for a, j in zip(incl.images, H.classes.class_of):
+            h_class[a] = j
+        inv = G._inverse_array()
+        if n <= TABLE_LIMIT:
+            t = G.cayley_table()
+
+            def conjugates(y):
+                left = map(G.column(y).__getitem__, inv)  # r^-1 * y
+                return map(t.__getitem__, map(add, map(n.__mul__, left), range(n)))
+        else:
+            mul = G.mul
+
+            def conjugates(y):
+                return (mul(mul(inv[r], y), r) for r in range(n))
+
         vals = []
-        for y in g_classes.reps:
-            total = Fraction(0)
-            for r in range(G.order):
-                z = G.mul(G.mul(G.inv(r), y), r)
-                j = preimage.get(z)
-                if j is not None:
-                    total += f.values[h_classes.class_of_index(j)]
+        for y in G.classes.reps:
+            hits = Counter(map(h_class.__getitem__, conjugates(y)))
+            hits.pop(-1, None)
+            total = sum((f.values[j] * c for j, c in hits.items()), Fraction(0))
             vals.append(total / H.order)
         return ClassFunction(G, vals)
     raise ValueError(f"unknown induction strategy: {strategy}")

@@ -82,9 +82,7 @@ def fock_product(f: ClassFunction, g: ClassFunction,
         return ClassFunction(amb, vals)
     if strategy == "elements":
         emb = embed_product(base, Gn.n, Gm.n)
-        F = external_product(f, g, emb.dom)
-        emb.dom.classes.class_of  # materialize before the element sweep
-        return induce(F, emb, strategy="elements")
+        return induce(external_product(f, g, emb.dom), emb, strategy="elements")
     raise ValueError(f"unknown strategy: {strategy}")
 
 

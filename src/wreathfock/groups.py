@@ -10,12 +10,15 @@ and `subgroup` check every edge (x, x*s), |G| * #gens of them.  They read
 each edge off the right-multiplication column of s (`FiniteGroup.column`),
 the index sequence x -> x*s, made once per element and cached on the
 group.  A column costs |G| native products, or none where the group has
-a Cayley table or is a direct product or a subgroup: those read their
-columns off the table, the factors' columns or the ambient column.
+a Cayley table or its construction gives a column rule: a direct product
+reads the factors' columns at i*|H| + j, a subgroup the ambient column,
+and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
+columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).  Those
+constructions derive their inverse arrays the same way.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
-for its ambient group before the element sweep.
+which builds it for its ambient group before the element sweep.
 """
 
 from __future__ import annotations
@@ -192,12 +195,16 @@ class ConjugacyClasses:
     cycle-type order.  Either way the indexing is reproducible.
     """
 
-    def __init__(self, group, sizes, rep_descs, *, class_of=None, classifier=None):
+    def __init__(self, group, sizes, rep_descs, *, class_of=None, classifier=None,
+                 make_class_of=None):
+        # make_class_of(), if given, makes the class_of array on first use
+        # without classifying elements one by one (direct products)
         self.group = group
         self.sizes = tuple(sizes)
         self.rep_descs = tuple(rep_descs)
         self._class_of = class_of
         self._classifier = classifier
+        self._make_class_of = make_class_of
         if class_of is None and classifier is None:
             raise ValueError("need a class_of array or a classifier")
 
@@ -212,8 +219,11 @@ class ConjugacyClasses:
     def class_of(self) -> Sequence[int]:
         """Class index per element index (materializes the whole array)."""
         if self._class_of is None:
-            cls = self._classifier
-            self._class_of = array("i", (cls(d) for d in self.group.elements))
+            if self._make_class_of is not None:
+                self._class_of = self._make_class_of()
+            else:
+                self._class_of = array("i", map(self._classifier,
+                                                self.group.elements))
         return self._class_of
 
     def class_of_index(self, i: int) -> int:
@@ -612,8 +622,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
 
     Elements are index pairs (i, j) in lexicographic order, so (i, j) has
     index i*|H| + j, and conjugacy classes are pairs of factor classes,
-    likewise in lexicographic order.  Columns and inverses come from the
-    factors' by that index arithmetic, with no product of pairs.
+    likewise in lexicographic order.  Columns, inverses and the class of
+    every element come from the factors' by that index arithmetic, with no
+    product of pairs and no element classified twice.
 
     Returns (P, proj_G, proj_H, incl_G, incl_H).
     """
@@ -626,9 +637,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     def mul(a, b):
         return (G.mul(a[0], b[0]), H.mul(a[1], b[1]))
 
-    def pairs(xs, ys) -> tuple:
-        # the index i*|H| + j of every pair (i, j), i in xs, j in ys
-        return tuple(i + j for i in map(nH.__mul__, xs) for j in ys)
+    def pairs(xs, ys, k=nH) -> tuple:
+        # the index i*k + j of every pair (i, j), i in xs, j in ys
+        return tuple(i + j for i in map(k.__mul__, xs) for j in ys)
 
     def column(s):
         a, b = divmod(s, nH)
@@ -645,7 +656,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     rep_descs = [(ra, rb) for ra in cG.reps for rb in cH.reps]
     P._classes = ConjugacyClasses(
         P, sizes, rep_descs,
-        classifier=lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]))
+        classifier=lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]),
+        make_class_of=lambda: array("i", pairs(cG.class_of, cH.class_of, kH)))
     proj_G = Homomorphism(P, G, index_map=lambda i: i // nH,
                           label="first projection")
     proj_H = Homomorphism(P, H, index_map=lambda i: i % nH,

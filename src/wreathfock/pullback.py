@@ -53,7 +53,10 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
     """Construct {(g, h) : alpha(g) = beta(h)} inside G x H.
 
     Both maps must land in the same group and be surjective; the carrier
-    order is checked against |G| |H| / |K|.
+    order is checked against |G| |H| / |K|.  The members are listed without
+    scanning G x H: H is grouped by its image in K, and each g contributes
+    the bucket of beta^-1(alpha(g)), so the pairs come in increasing index
+    order at a cost of |Gamma| rather than |G| |H|.
     """
     if alpha.cod is not beta.cod:
         raise ValueError("alpha and beta must land in the same group")
@@ -61,8 +64,12 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
         raise ValueError("pullback needs surjective structure maps")
     G, H, K = alpha.dom, beta.dom, alpha.cod
     P, pG, pH, _, _ = direct_product(G, H)
-    a, b = alpha.images, beta.images
-    members = [i for i, (x, y) in enumerate(P.elements) if a[x] == b[y]]
+    buckets: list[list[int]] = [[] for _ in range(K.order)]
+    for y, k in enumerate(beta.images):
+        buckets[k].append(y)
+    nH = H.order
+    members = [x * nH + y for x, k in enumerate(alpha.images)
+               for y in buckets[k]]
     expected = G.order * H.order // K.order
     carrier, incl = subgroup(P, members,
                              label=label or f"({G.label} x_{K.label} {H.label})")

@@ -14,8 +14,10 @@ so class-level work scales far beyond an element sweep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from typing import NamedTuple
 
 from .catalog import catalog_group
@@ -218,7 +220,13 @@ class WreathGroup(FiniteGroup):
     """G wr S_n with conjugacy decided by type.
 
     Elements enumerate lazily (parts-major, both factors lexicographic), so
-    class-level work never forces the |G|^n * n! carrier into memory.
+    class-level work never forces the |G|^n * n! carrier into memory.  The
+    element (g, s) has index P(g) * n! + rank(s), where P(g) reads the
+    parts g_0 ... g_{n-1} as the digits of a base-|G| number and rank(s) is
+    the position of s among the permutations of the slots in lexicographic
+    order.  Columns and inverses are computed on these indices from the
+    base group's columns and inverses (`_slot_sweep`), with no product of
+    wreath elements.
     """
 
     def __init__(self, base: FiniteGroup, n: int, *, max_order=None):
@@ -249,7 +257,8 @@ class WreathGroup(FiniteGroup):
             gens.append(WreathElement((0,) * n,
                                       Permutation.from_cycles(n, [tuple(range(n))])))
         super().__init__(f"{base.label} wr S{n}", None, wmul, inv_desc=winv,
-                         generators=gens, order=order)
+                         generators=gens, order=order,
+                         _column_of=self._derived_column)
         self.base = base
         self.n = n
 
@@ -272,11 +281,93 @@ class WreathGroup(FiniteGroup):
                                          classifier=classify)
 
     def _enumerate(self):
-        perms = [Permutation(p) for p in itertools.permutations(range(self.n))]
+        perms = [Permutation._unchecked(p) for p in self._slot_perms]
         return [WreathElement(parts, perm)
                 for parts in itertools.product(range(self.base.order),
                                                repeat=self.n)
                 for perm in perms]
+
+    @functools.cached_property
+    def _slot_perms(self) -> list[tuple]:
+        """The permutations of the n slots as image tuples, in index order."""
+        return list(itertools.permutations(range(self.n)))
+
+    @functools.cached_property
+    def _slot_rank(self) -> dict:
+        """The index of each permutation of the slots."""
+        return {p: i for i, p in enumerate(self._slot_perms)}
+
+    def _slot_sweep(self, rule) -> list[int]:
+        """An index sequence over every element x = (g, s), in index order,
+        built from per-slot lookups.
+
+        rule(s) gives (maps, q): n sequences over the base group and an
+        index, and the entry at x is q + sum over slots i of maps[i][g_i].
+        For each s the sums over every g are laid out in lexicographic order
+        of g, one slot at a time, as `direct_product` lays out its pairs.
+        """
+        sums, qs = [], []
+        for s in self._slot_perms:
+            maps, q = rule(s)
+            acc = [0]
+            for m in maps:
+                acc = [a + b for a in acc for b in m]
+            sums.append(acc)
+            qs.append(q)
+        return [a + q for row in zip(*sums) for a, q in zip(row, qs)]
+
+    def _place_values(self) -> list[int]:
+        """The index weight of a base element in slot i: |G|^(n-1-i) * n!."""
+        n, b = self.n, self.base.order
+        return [b ** (n - 1 - i) * math.factorial(n) for i in range(n)]
+
+    def _digits(self, y: int):
+        """The parts and the permutation (as image tuple) of element y."""
+        perms = self._slot_perms
+        p, si = divmod(y, len(perms))
+        parts = []
+        for _ in range(self.n):
+            p, d = divmod(p, self.base.order)
+            parts.append(d)
+        return parts[::-1], perms[si]
+
+    def _derived_column(self, y: int) -> list[int]:
+        """The column x -> x*y from the base group's columns.
+
+        For x = (g, s) and y = (h, t), x*y = (g_i * h_{s^-1(i)}, s t): slot
+        s(k) of the product holds g_{s(k)} * h_k, which is the base column
+        of h_k read at g_{s(k)}.  |G wr S_n| lookups, no wreath product.
+        """
+        h, t = self._digits(y)
+        rank = self._slot_rank
+        place = self._place_values()
+        col = self.base.column
+        weighted = [[[c * w for c in col(hk)] for w in place] for hk in h]
+
+        def rule(s):
+            maps = [None] * self.n
+            for k, i in enumerate(s):
+                maps[i] = weighted[k][i]
+            return maps, rank[tuple(map(s.__getitem__, t))]
+
+        return self._slot_sweep(rule)
+
+    def _compute_inverses(self):
+        """The inverse of (g, s) is (g', s^-1) with g'_j = g_{s(j)}^-1: slot
+        i of g lands, inverted, in slot s^-1(i).  Read off the base group's
+        inverse array, with no wreath product."""
+        rank = self._slot_rank
+        place = self._place_values()
+        binv = self.base._inverse_array()
+        weighted = [[binv[a] * w for a in range(self.base.order)] for w in place]
+
+        def rule(s):
+            sinv = [0] * self.n
+            for i, j in enumerate(s):
+                sinv[j] = i
+            return [weighted[j] for j in sinv], rank[tuple(sinv)]
+
+        return array("i", self._slot_sweep(rule))
 
     def class_index_of_type(self, t: TypeMatrix) -> int:
         return self._type_index[t]
@@ -305,18 +396,33 @@ def wreath_group(G: FiniteGroup, n: int, *, max_order=None) -> WreathGroup:
 
 def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
     """The injective homomorphism G_n x G_m -> G_{n+m} acting on the first n
-    and last m letters; its domain is the direct product group."""
-    Gn, Gm = wreath_group(G, n), wreath_group(G, m)
-    amb = wreath_group(G, n + m)
-    P = direct_product(Gn, Gm)[0]
+    and last m letters; its domain is the direct product group.
 
-    def embed(d) -> WreathElement:
-        x = Gn.elements[d[0]]
-        y = Gm.elements[d[1]]
-        images = tuple(x.perm.images) + tuple(n + j for j in y.perm.images)
-        return WreathElement(x.parts + y.parts, Permutation(images))
+    Cached per (n, m) on G, next to its wreath levels; the product's maps
+    are verified once, when it is built.  Like `wreath_group`, a cache hit
+    re-checks the element cap on the product and on G_{n+m}.
+    """
+    cache = G.__dict__.setdefault("_embeddings", {})
+    emb = cache.get((n, m))
+    if emb is None:
+        Gn, Gm = wreath_group(G, n), wreath_group(G, m)
+        amb = wreath_group(G, n + m)
+        P = direct_product(Gn, Gm)[0]
 
-    return Homomorphism(P, amb, desc_map=embed, label=f"embed {n}+{m}")
+        def embed(d) -> WreathElement:
+            x = Gn.elements[d[0]]
+            y = Gm.elements[d[1]]
+            images = tuple(x.perm.images) + tuple(n + j for j in y.perm.images)
+            return WreathElement(x.parts + y.parts, Permutation(images))
+
+        emb = cache[(n, m)] = Homomorphism(P, amb, desc_map=embed,
+                                           label=f"embed {n}+{m}")
+    cap = max_order_cap()
+    for H in (emb.dom, emb.cod):
+        if H.order > cap:
+            raise ResourceLimitError(
+                f"|{H.label}| = {H.order} exceeds the element cap {cap}")
+    return emb
 
 
 def quotient_to_symmetric(Gn: WreathGroup) -> Homomorphism:

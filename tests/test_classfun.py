@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_groups import closure, native_table, perm_groups
+from wreathfock import classfun
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import (ClassFunction, ClassFunSpace,
                                  external_product, indicator, indicator_basis,
                                  induce, inner_product, one, pullback_along,
                                  restrict, span_rank, zero)
-from wreathfock.groups import (Permutation, compose_homs, direct_product,
-                               hom_from_generator_images, subgroup)
+from wreathfock.groups import (Homomorphism, Permutation, compose_homs,
+                               direct_product, hom_from_generator_images,
+                               subgroup)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,47 @@ def test_induce_strategies_agree(S3, D12, c3_in_s3, s2_in_s3):
         for f in indicator_basis(H):
             assert induce(f, incl, strategy="fusion") == \
                 induce(f, incl, strategy="elements")
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def random_injections(G, data):
+    """A random subgroup's inclusion, and the inclusion conjugated by a
+    random element of G."""
+    table = native_table(G)
+    picks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    S, incl = subgroup(G, closure(table, picks))
+    g = data.draw(st.integers(0, G.order - 1))
+    conj = [table[table[g][a]][G.inv(g)] for a in S.elements]
+    return S, [incl, Homomorphism(S, G, images=conj)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(perm_groups(), st.data())
+def test_induce_by_elements_equals_fusion_on_random_subgroups(G, data):
+    S, maps = random_injections(G, data)
+    f = ClassFunction(S, data.draw(st.lists(
+        fractions, min_size=S.classes.num_classes,
+        max_size=S.classes.num_classes)))
+    for incl in maps:
+        assert induce(f, incl, strategy="elements") == \
+            induce(f, incl, strategy="fusion")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perm_groups(), st.data())
+def test_induce_by_elements_without_a_table_equals_fusion(G, data):
+    S, maps = random_injections(G, data)
+    f = ClassFunction(S, data.draw(st.lists(
+        fractions, min_size=S.classes.num_classes,
+        max_size=S.classes.num_classes)))
+    for incl in maps:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classfun, "TABLE_LIMIT", 0)
+            by_elements = induce(f, incl, strategy="elements")
+        assert G._table is None
+        assert by_elements == induce(f, incl, strategy="fusion")
 
 
 def test_induce_is_linear(S3, s2_in_s3):

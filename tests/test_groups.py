@@ -11,6 +11,7 @@ from wreathfock.groups import (FiniteGroup, Homomorphism,
                                conjugation_orbits, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
+from wreathfock.wreath import wreath_group
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -482,6 +483,17 @@ def test_verify_on_product_and_subgroup_maps_agrees_with_all_pairs(G, H, data):
         for images in (S.elements, inner, change_one(inner, data, n)):
             assert_verify_iff_all_pairs(Homomorphism(S, G, images=images),
                                         tS, tG)
+
+
+@walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3))
+def test_product_class_array_is_the_per_element_classifier(G, H):
+    C2 = catalog_group("C2")
+    for A, B in ((G, H), (wreath_group(C2, 2), wreath_group(C2, 1))):
+        classes = direct_product(A, B)[0].classes
+        each = [classes.class_of_desc(d) for d in classes.group.elements]
+        assert classes._class_of is None      # not made by the loop above
+        assert list(classes.class_of) == each
 
 
 def conjugacy_partition(table):

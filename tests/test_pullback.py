@@ -238,6 +238,18 @@ def test_closed_forms_match_rank_oracles(k, data):
     check_against_oracles(build_pullback(_to_k(G, K), _to_k(H, K)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["trivial", "C2"]), st.data())
+def test_carrier_members_are_the_scanned_pairs(k, data):
+    groups = odd_perm_groups if k == "C2" else small_perm_groups
+    G, H, K = data.draw(groups), data.draw(groups), catalog_group(k)
+    pb = build_pullback(_to_k(G, K), _to_k(H, K))
+    a, b = pb.alpha.images, pb.beta.images
+    scan = [i for i, (x, y) in enumerate(pb.product.elements) if a[x] == b[y]]
+    assert pb.carrier.elements == scan
+    assert [pb.incl(i) for i in range(pb.order)] == scan
+
+
 # sign pullbacks of catalog groups, where most are not closed
 @pytest.mark.parametrize("g,h", [("S3", "S3"), ("S3", "D8"), ("C4", "D12"),
                                  ("D8", "D12"), ("S4", "D8"), ("S4", "S4")])

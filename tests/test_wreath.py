@@ -1,17 +1,24 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_groups import perm_groups
 from wreathfock.catalog import catalog_group
-from wreathfock.groups import (Permutation, ResourceLimitError,
+from wreathfock.classfun import ClassFunction
+from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
+                             graded_dimension_series, monomial_value)
+from wreathfock.groups import (ENV_MAX_ORDER, Permutation, ResourceLimitError,
                                check_group_axioms, conjugation_orbits)
-from wreathfock.wreath import (TypeMatrix, WreathElement, centralizer_order,
-                               class_count_series, classes_by_type,
-                               cycle_product, embed_product, fuse_class,
-                               quotient_to_symmetric, type_of, wreath_group)
+from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
+                               centralizer_order, class_count_series,
+                               classes_by_type, cycle_product, embed_product,
+                               fuse_class, quotient_to_symmetric, type_of,
+                               wreath_group)
 
 # ---------------------------------------------------------------------------
 # type matrices
@@ -210,6 +217,37 @@ def test_embedding_fuses_types(C2):
             assert type_of(C2, z) == type_of(C2, x) + type_of(C2, y)
 
 
+def test_embed_product_is_cached_per_base_and_levels():
+    build = catalog_group.__wrapped__     # fresh groups, not the catalog's
+    G, other = build("C2"), build("C2")
+    emb = embed_product(G, 1, 2)
+    assert embed_product(G, 1, 2) is emb
+    assert embed_product(G, 2, 1) is not emb
+    assert embed_product(other, 1, 2) is not emb
+    # the cache lives on the base: dropping the base drops the embedding
+    ref = weakref.ref(emb)
+    del G, emb
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("cap", [10, 20])
+def test_embed_product_cap_holds_on_cache_hits(monkeypatch, cap):
+    # |C2 wr S1 x C2 wr S2| = 16 and |C2 wr S3| = 48: a cap of 10 refuses
+    # the product, one of 20 only the ambient level
+    G = catalog_group.__wrapped__("C2")
+    monkeypatch.setenv(ENV_MAX_ORDER, str(cap))
+    with pytest.raises(ResourceLimitError):
+        embed_product(G, 1, 2)
+    monkeypatch.delenv(ENV_MAX_ORDER)
+    emb = embed_product(G, 1, 2)
+    monkeypatch.setenv(ENV_MAX_ORDER, str(cap))
+    with pytest.raises(ResourceLimitError):
+        embed_product(G, 1, 2)
+    monkeypatch.setenv(ENV_MAX_ORDER, "48")
+    assert embed_product(G, 1, 2) is emb
+
+
 def test_quotient_to_symmetric(C2):
     W = wreath_group(C2, 3)
     q = quotient_to_symmetric(W)
@@ -258,3 +296,68 @@ def test_types_are_generated_in_canonical_order(name, top):
             assert TypeMatrix(t.entries) == t and t.n == n
             assert sorted(rep.perm.images) == list(range(n))
             assert type_of(G, rep) == t
+
+
+# ---------------------------------------------------------------------------
+# columns and inverses from the base group's
+
+
+def assert_derived_arrays_are_native(W):
+    """Every column and the inverse array of a fresh level equal the ones
+    made by native wreath products, element by element."""
+    els, index = W.elements, W.index
+    for y in range(W.order):
+        assert list(W.column(y)) == [index[W._mul_desc(x, els[y])] for x in els]
+    assert list(W._inverse_array()) == [index[W._inv_desc(x)] for x in els]
+
+
+@pytest.mark.parametrize("name", ["trivial", "C2", "C3", "C4", "S3", "D8"])
+def test_wreath_columns_are_the_native_columns(name):
+    G = catalog_group(name)
+    for n in range(4):
+        if G.order ** n * math.factorial(n) <= 200:
+            assert_derived_arrays_are_native(WreathGroup(G, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=3), st.integers(0, 3))
+def test_wreath_columns_on_random_bases(G, n):
+    assume(G.order ** n * math.factorial(n) <= 150)
+    assert_derived_arrays_are_native(WreathGroup(G, n))
+
+
+def test_wreath_tables_and_orbits_make_no_wreath_product(C2):
+    def refuse(*args):
+        raise AssertionError("a native wreath product was made")
+
+    W = WreathGroup(C2, 3)
+    W._mul_desc = W._inv_desc = refuse
+    class_of, _, sizes = conjugation_orbits(W)
+    W.cayley_table()
+    assert len(sizes) == len(W.types)
+    fresh = WreathGroup(C2, 3)
+    assert list(class_of) == list(conjugation_orbits(fresh)[0])
+
+
+def test_class_level_fock_work_enumerates_no_wreath_element(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.label} was enumerated")
+
+    monkeypatch.setattr(WreathGroup, "_enumerate", refuse)
+    build = catalog_group.__wrapped__     # fresh groups, no cached levels
+    for name, top in (("C2", 5), ("S3", 3)):
+        G = build(name)
+        for n in range(top + 1):
+            W = wreath_group(G, n)
+            for t, _ in classes_by_type(G, n):
+                k = W.class_index_of_type(t)
+                assert centralizer_order(G, t) * W.classes.sizes[k] == W.order
+            if n:
+                assert monomial_value(G, TypeMatrix({(1, 0): n})).support()
+        d1, d2 = delta(G, 1, 1), delta(G, 2, 0)
+        assert isinstance(fock_product(d1, d2), ClassFunction)
+        x = FockElement.generator(G, 1, 0, max_level=top) + \
+            FockElement.generator(G, 2, 1, max_level=top)
+        assert (x * x).levels
+        graded_dimension_series(G, top)
+        change_of_basis(G, top)
