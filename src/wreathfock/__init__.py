@@ -16,9 +16,9 @@ The main layers, bottom to top:
   generator basis, and Künneth-style product identity.
 """
 
-from .classfun import (ClassFunction, ClassFunSpace, external_product,
-                       indicator, indicator_basis, induce, inner_product,
-                       one, pullback_along, restrict, span_rank, zero)
+from .classfun import (ClassFunction, external_product, indicator,
+                       indicator_basis, induce, inner_product, one,
+                       pullback_along, restrict, span_rank, zero)
 from .catalog import catalog_group, resolve_group
 from .fock import (FockElement, change_of_basis, delta, fock_product,
                    graded_dimension_series, kunneth_generator_identity,
@@ -40,7 +40,7 @@ from .wreath import (TypeMatrix, WreathElement, WreathGroup,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassFunction", "ClassFunSpace", "FiniteGroup", "FockElement",
+    "ClassFunction", "FiniteGroup", "FockElement",
     "Homomorphism", "NotAHomomorphismError", "NotASubgroupError",
     "Permutation", "PullbackGroup", "ResourceLimitError", "TypeMatrix",
     "WreathElement", "WreathGroup", "build_pullback", "catalog_group",

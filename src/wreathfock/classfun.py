@@ -125,20 +125,6 @@ def indicator_basis(G: FiniteGroup) -> list[ClassFunction]:
     return [indicator(G, k) for k in range(G.classes.num_classes)]
 
 
-class ClassFunSpace:
-    """The space of class functions of a group in its indicator basis."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-
-    @property
-    def dim(self) -> int:
-        return self.group.classes.num_classes
-
-    def basis(self) -> list[ClassFunction]:
-        return indicator_basis(self.group)
-
-
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """<f, g> = (1/|G|) sum_x f(x) g(x), summed class-by-class.
 

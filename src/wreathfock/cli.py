@@ -23,8 +23,7 @@ from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
 from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
                        verify_class_ring_decomposition)
-from .wreath import (TypeMatrix, _colored_partitions, centralizer_order,
-                     wreath_group)
+from .wreath import TypeMatrix, _colored_partitions, centralizer_order
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -265,7 +264,7 @@ def cmd_fock_basis(args) -> int:
     # The change-of-basis matrix is diagonal with entry prod m_i! at each
     # type (see fock.py), so its determinant is the product of the entries
     # and never vanishes.
-    types = wreath_group(G, args.level).types
+    types = _colored_partitions(G.classes.num_classes, args.level)
     d = math.prod(math.factorial(m) for t in types for _, _, m in t.entries)
     doc = {"group": G.label, "level": args.level, "dimension": len(types),
            "determinant": f"{d}/1", "invertible": True}

@@ -20,19 +20,28 @@ The distinguished generators are the indicators of single-n-cycle classes;
 monomials in them, one per colored partition of n, form a basis of level n
 (F(G) is a graded-symmetric algebra on the generators).  The
 change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
-times the indicator of mu, m_i the multiplicities of mu.
+times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
+returns that closed form; `change_of_basis` multiplies the generators out
+and is its oracle.
+
+Everything here except the ``"elements"`` strategy is class-level work on
+the types of each level, so it is bounded by the level (``--max-level``),
+never by the element cap: levels come from `wreath._level`, which builds
+class data only.  The Künneth identity is checked on types alone, without
+building G x H or any of its wreath levels.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .classfun import (ClassFunction, external_product, induce, one,
                        pullback_along, zero)
-from .groups import FiniteGroup, direct_product
-from .wreath import (TypeMatrix, WreathElement, WreathGroup,
-                     _colored_partitions, class_count_series, embed_product,
-                     quotient_to_symmetric, wreath_group)
+from .groups import FiniteGroup
+from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
+                     class_count_series, embed_product, quotient_to_symmetric,
+                     split_type)
 
 DEFAULT_MAX_LEVEL = 4
 ZERO = Fraction(0)
@@ -66,7 +75,7 @@ def fock_product(f: ClassFunction, g: ClassFunction,
     if Gn.base is not Gm.base:
         raise ValueError("factors live over different base groups")
     base = Gn.base
-    amb = wreath_group(base, Gn.n + Gm.n)
+    amb = _level(base, Gn.n + Gm.n)
     if strategy == "fusion":
         index = amb.class_index_of_type
         gs = _weighted_support(g)
@@ -89,38 +98,48 @@ def fock_product(f: ClassFunction, g: ClassFunction,
 def delta(G: FiniteGroup, n: int, c: int) -> ClassFunction:
     """Generator at level n colored by base class c: the indicator of the
     class whose permutation part is one n-cycle with cycle product in c."""
-    Gn = wreath_group(G, n)
+    Gn = _level(G, n)
     idx = Gn.class_index_of_type(TypeMatrix.single(n, c))
     vals = [Fraction(0)] * Gn.classes.num_classes
     vals[idx] = Fraction(1)
     return ClassFunction(Gn, vals)
 
 
-def monomial_value(G: FiniteGroup, mu: TypeMatrix,
-                   strategy: str = "fusion") -> ClassFunction:
+def monomial_value(G: FiniteGroup, mu: TypeMatrix) -> ClassFunction:
     """Product of generators with exponents given by mu: entry (r, c, m)
-    contributes delta(G, r, c) to the m-th power.  Lands at level mu.n."""
-    result = one(wreath_group(G, 0))
-    for r, c, m in mu.entries:
-        d = delta(G, r, c)
-        for _ in range(m):
-            result = fock_product(result, d, strategy=strategy)
-    return result
+    contributes delta(G, r, c) to the m-th power.  Lands at level mu.n.
+
+    In closed form: prod m! over the entries of mu, times the indicator of
+    mu (the module docstring); `change_of_basis` multiplies it out.
+    """
+    W = _level(G, mu.n)
+    vals = [ZERO] * W.classes.num_classes
+    vals[W.class_index_of_type(mu)] = Fraction(
+        math.prod(math.factorial(m) for _, _, m in mu.entries))
+    return ClassFunction(W, vals)
 
 
 def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     """Square matrix of generator-monomial values on the classes of
     G wr S_n; rows and columns are both indexed by the colored partitions
     of n in their canonical order.  Invertibility says the monomials are a
-    basis of level n.  The matrix is diagonal (see the module docstring),
-    so `fock basis` reports its determinant in closed form; this matrix and
-    its exact determinant are the oracle for that.
+    basis of level n.
+
+    Each row multiplies its generators out with `fock_product` under
+    `strategy`, so this matrix and its exact determinant are the oracle for
+    the closed forms of `monomial_value` and `fock basis`.
 
     Returns (rows, types).
     """
-    types = wreath_group(G, n).types
-    rows = [list(monomial_value(G, t, strategy=strategy).values)
-            for t in types]
+    types = _level(G, n).types
+    rows = []
+    for t in types:
+        f = one(_level(G, 0))
+        for r, c, m in t.entries:
+            d = delta(G, r, c)
+            for _ in range(m):
+                f = fock_product(f, d, strategy=strategy)
+        rows.append(list(f.values))
     return rows, types
 
 
@@ -138,40 +157,25 @@ def module_action_over_sym(f: ClassFunction, x: ClassFunction) -> ClassFunction:
 # product bases
 
 
-def _cached_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    cache = G.__dict__.setdefault("_product_with", {})
-    key = id(H)
-    if key not in cache:
-        cache[key] = (H, direct_product(G, H)[0])
-    return cache[key][1]
-
-
 def kunneth_generator_identity(G: FiniteGroup, H: FiniteGroup, n: int,
-                               c: int, d: int, return_sides: bool = False):
+                               c: int, d: int) -> bool:
     """Restricting delta_G(n,c) x delta_H(n,d) along the diagonal embedding
     (G x H) wr S_n -> (G wr S_n) x (H wr S_n) gives exactly
     delta_{G x H}(n, c x d).
 
-    Both sides are computed on class representatives by splitting each into
-    its G- and H-coordinates; no group is enumerated.
+    Both sides are compared class by class on the types of (G x H) wr S_n,
+    whose colors are the pairs c * kH + d: the left side is 1 on a type
+    whose projections (`split_type`) are the two single n-cycle types, the
+    right side on the single n-cycle type colored c * kH + d.  No group is
+    built.
     """
-    P = _cached_product(G, H)
-    kH = H.classes.num_classes
-    Pn = wreath_group(P, n)
-    dG, dH = delta(G, n, c), delta(H, n, d)
-    pairs = P.elements
-    lhs = []
-    for rep in Pn.classes.rep_descs:
-        aparts = tuple(pairs[p][0] for p in rep.parts)
-        bparts = tuple(pairs[p][1] for p in rep.parts)
-        va = dG.at_desc(WreathElement(aparts, rep.perm))
-        vb = dH.at_desc(WreathElement(bparts, rep.perm))
-        lhs.append(va * vb)
-    rhs = delta(P, n, c * kH + d)
-    ok = tuple(lhs) == rhs.values
-    if return_sides:
-        return ok, ClassFunction(Pn, lhs), rhs
-    return ok
+    kG, kH = G.classes.num_classes, H.classes.num_classes
+    if not (0 <= c < kG and 0 <= d < kH):
+        raise ValueError(f"no class pair ({c}, {d}) in {G.label} x {H.label}")
+    sides = (TypeMatrix.single(n, c), TypeMatrix.single(n, d))
+    target = TypeMatrix.single(n, c * kH + d)
+    return all((split_type(t, kH) == sides) == (t == target)
+               for t in _colored_partitions(kG * kH, n))
 
 
 def graded_dimension_series(G: FiniteGroup, N: int):
@@ -204,7 +208,7 @@ class FockElement:
 
     @classmethod
     def unit(cls, G: FiniteGroup, *, max_level: int = DEFAULT_MAX_LEVEL):
-        return cls(G, {0: one(wreath_group(G, 0))}, max_level=max_level)
+        return cls(G, {0: one(_level(G, 0))}, max_level=max_level)
 
     @classmethod
     def generator(cls, G: FiniteGroup, n: int, c: int, *,
@@ -213,7 +217,7 @@ class FockElement:
 
     def level(self, n: int) -> ClassFunction:
         f = self.levels.get(n)
-        return zero(wreath_group(self.base, n)) if f is None else f
+        return zero(_level(self.base, n)) if f is None else f
 
     def _compatible(self, other: "FockElement"):
         if self.base is not other.base:

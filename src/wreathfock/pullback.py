@@ -17,20 +17,18 @@ exact-rank oracles the tests compare against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ratlinalg
 from .classfun import indicator, pullback_along
 from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit,
                      compose_homs, direct_product, subgroup)
-from .wreath import (TypeMatrix, WreathElement, WreathGroup, type_of,
-                     wreath_group, quotient_to_symmetric)
+from .wreath import (WreathElement, _colored_partitions, quotient_to_symmetric,
+                     split_type, wreath_group)
 
 
-@dataclass
-class PullbackGroup:
+class PullbackGroup(NamedTuple):
     """Carrier and structure maps of a pullback G x_K H."""
     G: FiniteGroup
     H: FiniteGroup
@@ -165,8 +163,7 @@ def fusion_pattern(incl: Homomorphism) -> dict[str, int]:
 # the tensor presentation and the decomposition theorem
 
 
-@dataclass
-class TensorPresentation:
+class TensorPresentation(NamedTuple):
     """Class(G) (x)_{Class(K)} Class(H) presented over the indicator basis
     pairs: the ambient space Class(G) (x) Class(H) modulo the relations
     alpha*(xi) rho (x) gamma - rho (x) beta*(xi) gamma."""
@@ -202,8 +199,7 @@ def tensor_over_classk(pb: PullbackGroup) -> TensorPresentation:
     return TensorPresentation(kG * kH, relations, rr, kG * kH - rr)
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     conj_closed: bool
     witness: Optional[tuple]
     quotient_dim: int
@@ -285,28 +281,17 @@ def n_cycle_classes_closed(A: FiniteGroup, B: FiniteGroup, n: int):
     """For every class of (A x B) wr S_n whose permutation part is a single
     n-cycle, decide whether it is closed in A_n x B_n, by type arithmetic:
     the class is closed iff no other class projects to the same pair of
-    types.  Returns a list of (class_index, type, closed)."""
-    AB = direct_product(A, B)[0]
-    W = wreath_group(AB, n)
+    types (`split_type`).  The classes are the colored partitions of n over
+    the kA * kB class pairs of A x B, so neither A x B nor its wreath level
+    is built.  Returns a list of (class_index, type, closed)."""
     kB = B.classes.num_classes
-
-    def project(t: TypeMatrix):
-        ca: dict = {}
-        cb: dict = {}
-        for r, c, m in t.entries:
-            ka = (r, c // kB)
-            kb = (r, c % kB)
-            ca[ka] = ca.get(ka, 0) + m
-            cb[kb] = cb.get(kb, 0) + m
-        return TypeMatrix(ca), TypeMatrix(cb)
-
-    projections = [project(t) for t in W.types]
-    out = []
-    for idx, t in enumerate(W.types):
-        if len(t.entries) == 1 and t.entries[0][0] == n and t.entries[0][2] == 1:
-            same = [j for j, p in enumerate(projections) if p == projections[idx]]
-            out.append((idx, t, same == [idx]))
-    return out
+    types = _colored_partitions(A.classes.num_classes * kB, n)
+    projections = [split_type(t, kB) for t in types]
+    shared = Counter(projections)
+    return [(idx, t, shared[projections[idx]] == 1)
+            for idx, t in enumerate(types)
+            if len(t.entries) == 1 and t.entries[0][0] == n
+            and t.entries[0][2] == 1]
 
 
 def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):

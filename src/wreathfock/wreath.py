@@ -9,7 +9,9 @@ the permutation part whose cycle product g_{i_r} ... g_{i_1} lies in base
 class c.  Two elements are conjugate iff their types agree, the centralizer
 order is a product formula over the type, and classes enumerate as
 base-class-colored partitions of n.  None of that needs the group enumerated,
-so class-level work scales far beyond an element sweep.
+so class-level work scales far beyond an element sweep: a level is built
+from class data alone, and the element cap applies only where its elements
+are laid out.
 """
 
 from __future__ import annotations
@@ -42,11 +44,16 @@ class TypeMatrix:
     def __init__(self, entries):
         if isinstance(entries, dict):
             entries = [(r, c, m) for (r, c), m in entries.items()]
-        cleaned = sorted((int(r), int(c), int(m)) for r, c, m in entries if m)
-        for r, c, m in cleaned:
+        # each entry is checked before repeated (r, c) pairs are summed
+        merged: list = []
+        for r, c, m in sorted((int(r), int(c), int(m))
+                              for r, c, m in entries if m):
             if r < 1 or c < 0 or m < 1:
                 raise ValueError(f"bad type entry ({r}, {c}, {m})")
-        self.entries = tuple(cleaned)
+            if merged and merged[-1][:2] == (r, c):
+                m += merged.pop()[2]
+            merged.append((r, c, m))
+        self.entries = tuple(merged)
 
     @classmethod
     def _unchecked(cls, entries: tuple) -> "TypeMatrix":
@@ -201,15 +208,24 @@ def centralizer_order(G: FiniteGroup, t: TypeMatrix) -> int:
     return total
 
 
-def are_conjugate(Gn: "WreathGroup", x: WreathElement, y: WreathElement) -> bool:
-    base = Gn.base
-    return type_of(base, x) == type_of(base, y)
+def split_type(t: TypeMatrix, kH: int) -> tuple[TypeMatrix, TypeMatrix]:
+    """The G- and H-types of a type over G x H, whose base classes are the
+    lexicographic pairs c * kH + d of a G-class c and an H-class d.
+
+    A cycle of (G x H) wr S_n with cycle product (a, b) is a cycle of the
+    same length in each factor, with cycle products a and b, so projecting
+    each entry's color gives the types of both images under the diagonal
+    map (G x H) wr S_n -> (G wr S_n) x (H wr S_n).
+    """
+    return (TypeMatrix([(r, c // kH, m) for r, c, m in t.entries]),
+            TypeMatrix([(r, c % kH, m) for r, c, m in t.entries]))
 
 
-def fuse_class(t1: TypeMatrix, t2: TypeMatrix) -> TypeMatrix:
-    """Type of the image of a pair of classes under the side-by-side
-    embedding G_n x G_m -> G_{n+m}: entrywise sum."""
-    return t1 + t2
+def _check_cap(label: str, order: int, max_order=None) -> None:
+    cap = max_order_cap(max_order)
+    if order > cap:
+        raise ResourceLimitError(
+            f"|{label}| = {order} exceeds the element cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +235,14 @@ def fuse_class(t1: TypeMatrix, t2: TypeMatrix) -> TypeMatrix:
 class WreathGroup(FiniteGroup):
     """G wr S_n with conjugacy decided by type.
 
-    Elements enumerate lazily (parts-major, both factors lexicographic), so
-    class-level work never forces the |G|^n * n! carrier into memory.  The
+    Building a level makes only its class data: the types in canonical
+    order, their sizes and one representative each.  That needs the base
+    group's classes alone, so any level can be built, whatever its order.
+    The element cap (`max_order_cap`) is checked where the elements are
+    first laid out (`_slot_perms`): enumeration, columns, inverses and
+    element lookups are refused above it, class-level work never is.
+
+    Elements enumerate lazily (parts-major, both factors lexicographic).  The
     element (g, s) has index P(g) * n! + rank(s), where P(g) reads the
     parts g_0 ... g_{n-1} as the digits of a base-|G| number and rank(s) is
     the position of s among the permutations of the slots in lexicographic
@@ -229,12 +251,8 @@ class WreathGroup(FiniteGroup):
     wreath elements.
     """
 
-    def __init__(self, base: FiniteGroup, n: int, *, max_order=None):
+    def __init__(self, base: FiniteGroup, n: int):
         order = base.order ** n * math.factorial(n)
-        cap = max_order_cap(max_order)
-        if order > cap:
-            raise ResourceLimitError(
-                f"|{base.label} wr S{n}| = {order} exceeds the element cap {cap}")
         base_mul, base_inv = base.mul, base.inv
 
         def wmul(x: WreathElement, y: WreathElement) -> WreathElement:
@@ -289,7 +307,12 @@ class WreathGroup(FiniteGroup):
 
     @functools.cached_property
     def _slot_perms(self) -> list[tuple]:
-        """The permutations of the n slots as image tuples, in index order."""
+        """The permutations of the n slots as image tuples, in index order.
+
+        Every element-level array starts here, so this is where the
+        element cap is enforced.
+        """
+        _check_cap(self.label, self.order)
         return list(itertools.permutations(range(self.n)))
 
     @functools.cached_property
@@ -373,21 +396,26 @@ class WreathGroup(FiniteGroup):
         return self._type_index[t]
 
 
-def wreath_group(G: FiniteGroup, n: int, *, max_order=None) -> WreathGroup:
-    """Cached per-base tower of wreath products.
-
-    The cap is enforced on cache hits too, so a caller asking for a bounded
-    build is refused consistently whether or not the level already exists.
-    """
+def _level(G: FiniteGroup, n: int) -> WreathGroup:
+    """The cached level G wr S_n, for class-level work: no cap check."""
     cache = G.__dict__.setdefault("_wreath_levels", {})
-    if n not in cache:
-        cache[n] = WreathGroup(G, n, max_order=max_order)
-    W = cache[n]
-    cap = max_order_cap(max_order)
-    if W.order > cap:
-        raise ResourceLimitError(
-            f"|{G.label} wr S{n}| = {W.order} exceeds the element cap {cap}")
+    W = cache.get(n)
+    if W is None:
+        W = cache[n] = WreathGroup(G, n)
     return W
+
+
+def wreath_group(G: FiniteGroup, n: int, *, max_order=None) -> WreathGroup:
+    """The cached level G wr S_n, for element-level work.
+
+    Refused when |G|^n * n! exceeds the element cap, checked before the
+    level is looked up, so a bounded call is refused whether or not the
+    level already exists.  Class-level code, which never needs an element,
+    uses `_level` and is not limited by the cap.
+    """
+    _check_cap(f"{G.label} wr S{n}", G.order ** n * math.factorial(n),
+               max_order)
+    return _level(G, n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +445,8 @@ def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
 
         emb = cache[(n, m)] = Homomorphism(P, amb, desc_map=embed,
                                            label=f"embed {n}+{m}")
-    cap = max_order_cap()
     for H in (emb.dom, emb.cod):
-        if H.order > cap:
-            raise ResourceLimitError(
-                f"|{H.label}| = {H.order} exceeds the element cap {cap}")
+        _check_cap(H.label, H.order)
     return emb
 
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from test_groups import closure, native_table, perm_groups
 from wreathfock import classfun
 from wreathfock.catalog import catalog_group
-from wreathfock.classfun import (ClassFunction, ClassFunSpace,
-                                 external_product, indicator, indicator_basis,
-                                 induce, inner_product, one, pullback_along,
-                                 restrict, span_rank, zero)
+from wreathfock.classfun import (ClassFunction, external_product, indicator,
+                                 indicator_basis, induce, inner_product, one,
+                                 pullback_along, restrict, span_rank, zero)
 from wreathfock.groups import (Homomorphism, Permutation, compose_homs,
                                direct_product, hom_from_generator_images,
                                subgroup)
@@ -75,12 +74,6 @@ def test_span_rank(S3):
     assert rank == 3 and list(picked) == [0, 1, 2]
     rank, picked = span_rank([basis[0], basis[0], basis[0] + basis[1]])
     assert rank == 2 and list(picked) == [0, 2]
-
-
-def test_space_dim(S3):
-    V = ClassFunSpace(S3)
-    assert V.dim == 3
-    assert len(V.basis()) == 3
 
 
 def test_restrict_three_cycle_indicator(S3, c3_in_s3):

@@ -166,6 +166,49 @@ def test_fock_series_counts_above_the_element_cap(capsys):
                                               185, 300]
 
 
+def test_class_level_fock_commands_run_above_the_element_cap(monkeypatch,
+                                                             capsys):
+    # every level below is above the default element cap; none of these
+    # commands needs an element, so only --max-level bounds them
+    monkeypatch.delenv("WREATHFOCK_MAX_ORDER", raising=False)
+    assert main(["fock", "basis", "C2", "--level", "12", "--max-level", "12",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 1165 and doc["invertible"] is True
+    assert main(["fock", "product", "S3", "--monomial",
+                 "[[1,0,2],[2,1,1],[1,2,2],[2,0,1]]", "--max-level", "8",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["level"] == 8
+    assert sorted(set(doc["values"])) == ["0/1", "4/1"]
+    assert doc["values"].count("4/1") == 1
+    for argv, checks in ((["C2", "C3", "--max-level", "6"], 36),
+                         (["S3", "C2", "--max-level", "4"], 24)):
+        assert main(["fock", "kunneth", *argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_equal"] is True and doc["checks"] == checks
+
+
+@pytest.mark.parametrize("argv,flag,repeated,merged", [
+    (["wreath", "centralizer", "C2", "2"], "--type",
+     "[[1,0,1],[1,0,1]]", "[[1,0,2]]"),
+    (["fock", "product", "C2"], "--monomial",
+     "[[1,1,1],[2,0,1],[1,1,1]]", "[[1,1,2],[2,0,1]]"),
+])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_repeated_type_entries_are_summed(capsys, argv, flag, repeated,
+                                          merged, fmt):
+    outputs = []
+    for value in (repeated, merged):
+        assert main(argv + [flag, value, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+    # an entry is checked before it is summed with its repeats
+    assert main(argv + [flag, merged[:-1] + ",[1,0,-1]]"]) == 2
+    assert "bad type entry (1, 0, -1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("group,level", [("trivial", 4), ("C2", 4),
                                          ("S3", 3), ("Dic3", 2)])
 def test_fock_basis_determinant_matches_the_det_oracle(capsys, group, level):

@@ -1,11 +1,13 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_groups import perm_groups
 from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction, indicator_basis, one
@@ -13,7 +15,11 @@ from wreathfock.fock import (FockElement, change_of_basis, delta,
                              fock_product, graded_dimension_series,
                              kunneth_generator_identity,
                              module_action_over_sym, monomial_value)
-from wreathfock.wreath import TypeMatrix, classes_by_type, wreath_group
+from wreathfock.groups import ENV_MAX_ORDER, ResourceLimitError, direct_product
+from wreathfock.pullback import n_cycle_classes_closed
+from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
+                               classes_by_type, split_type, type_of,
+                               wreath_group)
 
 # ---------------------------------------------------------------------------
 # the fusion product
@@ -140,13 +146,58 @@ def test_module_action_requires_symmetric_argument(C2):
         module_action_over_sym(one(W), one(W))
 
 
+def split_rep(P, side: int, x: WreathElement) -> WreathElement:
+    """The G- (side 0) or H-coordinate (side 1) of an element of
+    (G x H) wr S_n, P = G x H."""
+    pairs = P.elements
+    return WreathElement(tuple(pairs[p][side] for p in x.parts), x.perm)
+
+
+def kunneth_sides_by_splitting(G, H, n: int, c: int, d: int):
+    """Both sides of the Künneth generator identity as class functions on
+    (G x H) wr S_n, the left one evaluated on class representatives split
+    into their G- and H-coordinates: the element route that the type
+    projection replaces."""
+    P = direct_product(G, H)[0]
+    Pn = wreath_group(P, n)
+    dG, dH = delta(G, n, c), delta(H, n, d)
+    lhs = [dG.at_desc(split_rep(P, 0, rep)) * dH.at_desc(split_rep(P, 1, rep))
+           for rep in Pn.classes.rep_descs]
+    return ClassFunction(Pn, lhs), delta(P, n, c * H.classes.num_classes + d)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_kunneth_generator_identity_holds(C2, C3, n):
     for c in range(2):
         for d in range(3):
-            ok, lhs, rhs = kunneth_generator_identity(C2, C3, n, c, d,
-                                                      return_sides=True)
-            assert ok and lhs == rhs
+            lhs, rhs = kunneth_sides_by_splitting(C2, C3, n, c, d)
+            assert lhs == rhs
+            assert kunneth_generator_identity(C2, C3, n, c, d) is True
+
+
+def test_kunneth_rejects_a_class_outside_the_bases(C2, C3):
+    with pytest.raises(ValueError):
+        kunneth_generator_identity(C2, C3, 1, 2, 0)
+    with pytest.raises(ValueError):
+        kunneth_generator_identity(C2, C3, 1, 0, 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=3), perm_groups(max_degree=3), st.integers(1, 2))
+def test_type_projection_is_the_split_of_representatives(G, H, n):
+    # split_type on every class of (G x H) wr S_n against the types of the
+    # split representatives, and the verdicts against the split route
+    assume((G.order * H.order) ** n * math.factorial(n) <= 800)
+    P = direct_product(G, H)[0]
+    Pn = wreath_group(P, n)
+    kH = H.classes.num_classes
+    for t, rep in zip(Pn.types, Pn.classes.rep_descs):
+        assert split_type(t, kH) == (type_of(G, split_rep(P, 0, rep)),
+                                     type_of(H, split_rep(P, 1, rep)))
+    for c in range(G.classes.num_classes):
+        for d in range(kH):
+            lhs, rhs = kunneth_sides_by_splitting(G, H, n, c, d)
+            assert kunneth_generator_identity(G, H, n, c, d) == (lhs == rhs)
 
 
 def test_graded_dimension_series(S3):
@@ -303,3 +354,73 @@ def test_change_of_basis_is_diagonal_factorials(name, top):
             weight = math.prod(math.factorial(m) for _, _, m in t.entries)
             assert rows[i] == [weight if j == i else 0
                                for j in range(len(types))]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form monomial against the product chain
+
+
+@pytest.mark.parametrize("name,top", [("trivial", 6), ("C2", 5), ("C3", 4),
+                                      ("S3", 4), ("D8", 3)])
+def test_monomial_closed_form_is_the_product_chain(name, top):
+    G = catalog_group(name)
+    for n in range(top + 1):
+        rows, types = change_of_basis(G, n)
+        assert [list(monomial_value(G, t).values) for t in types] == rows
+        if n in range(1, ELEMENT_TOPS.get(name, 2) + 1):
+            oracle, _ = change_of_basis(G, n, strategy="elements")
+            assert oracle == rows
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=3), st.integers(0, 3))
+def test_monomial_closed_form_on_random_bases(G, n):
+    assume(len(classes_by_type(G, n)) <= 40)
+    rows, types = change_of_basis(G, n)
+    assert [list(monomial_value(G, t).values) for t in types] == rows
+    if n and G.order ** n * math.factorial(n) <= 150:
+        assert change_of_basis(G, n, strategy="elements")[0] == rows
+
+
+# ---------------------------------------------------------------------------
+# class-level work above the element cap
+
+
+def assert_elements_refused(W):
+    with pytest.raises(ResourceLimitError):
+        W.elements
+    with pytest.raises(ResourceLimitError):
+        W.column(1)
+    with pytest.raises(ResourceLimitError):
+        W._inverse_array()
+
+
+def test_class_level_fock_work_runs_above_the_element_cap(monkeypatch):
+    build = catalog_group.__wrapped__     # fresh groups, no cached levels
+    other = build("C2")
+    monkeypatch.setenv(ENV_MAX_ORDER, "50")
+    for name, top in (("C2", 5), ("S3", 3)):
+        G = build(name)
+        for n in range(top + 1):
+            rows, types = change_of_basis(G, n)
+            assert [list(monomial_value(G, t).values) for t in types] == rows
+            if n >= 2:
+                f = fock_product(delta(G, 1, 1), delta(G, n - 1, 0))
+                assert f.group.n == n and f.support()
+            if n:
+                for c in range(G.classes.num_classes):
+                    assert kunneth_generator_identity(G, other, n, c, 1)
+                assert all(closed for _, _, closed
+                           in n_cycle_classes_closed(G, other, n))
+            order = G.order ** n * math.factorial(n)
+            if order > 50:
+                refusal = f"|{name} wr S{n}| = {order} exceeds the element cap 50"
+                with pytest.raises(ResourceLimitError, match=re.escape(refusal)):
+                    wreath_group(G, n)
+                assert_elements_refused(delta(G, n, 0).group)
+                assert_elements_refused(WreathGroup(G, n))
+        x = FockElement.generator(G, 1, 0, max_level=top) + \
+            FockElement.generator(G, 2, 1, max_level=top)
+        square = x * x
+        assert set(square.levels) == {2, 3, 4} & set(range(top + 1))
+        assert square.level(2) == fock_product(delta(G, 1, 0), delta(G, 1, 0))

@@ -17,8 +17,7 @@ from wreathfock.groups import (ENV_MAX_ORDER, Permutation, ResourceLimitError,
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
                                centralizer_order, class_count_series,
                                classes_by_type, cycle_product, embed_product,
-                               fuse_class, quotient_to_symmetric, type_of,
-                               wreath_group)
+                               quotient_to_symmetric, type_of, wreath_group)
 
 # ---------------------------------------------------------------------------
 # type matrices
@@ -50,7 +49,17 @@ def test_type_matrix_add_merges_multiplicities():
     b = TypeMatrix({(2, 1): 2})
     assert (a + b).entries == ((1, 0, 1), (2, 1, 3))
     assert (a + b).n == a.n + b.n
-    assert fuse_class(a, b) == a + b
+
+
+def test_type_matrix_merges_repeated_entries():
+    t = TypeMatrix([(1, 0, 1), (2, 1, 1), (1, 0, 1)])
+    assert t.entries == ((1, 0, 2), (2, 1, 1))
+    assert t == TypeMatrix({(1, 0): 2, (2, 1): 1})
+    assert hash(t) == hash(TypeMatrix([(1, 0, 2), (2, 1, 1)]))
+    assert TypeMatrix([(2, 1, 1), (2, 1, 0), (2, 1, 3)]).entries == ((2, 1, 4),)
+    # each entry is checked before it is summed
+    with pytest.raises(ValueError, match=r"bad type entry \(1, 0, -1\)"):
+        TypeMatrix([(1, 0, 2), (1, 0, -1)])
 
 
 def test_type_matrix_json():
@@ -122,6 +131,24 @@ def test_types_are_exactly_the_conjugacy_classes(name, n):
     orbits = {frozenset(v) for v in orbit_members}
     assert orbits == {frozenset(v) for v in by_type.values()}
     assert len(by_type) == len(classes_by_type(G, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=3), st.integers(0, 3))
+def test_level_types_are_the_conjugation_orbits_on_random_bases(G, n):
+    # the class data a level is built from, against the orbits of its
+    # enumerated elements
+    assume(G.order ** n * math.factorial(n) <= 150)
+    W = WreathGroup(G, n)
+    class_of, _, sizes = conjugation_orbits(W)
+    orbit_to_type = {}
+    for i, x in enumerate(W.elements):
+        j = W.class_index_of_type(type_of(G, x))
+        assert orbit_to_type.setdefault(class_of[i], j) == j
+    assert sorted(orbit_to_type.values()) == list(range(len(W.types)))
+    for k, j in orbit_to_type.items():
+        assert sizes[k] == W.classes.sizes[j]
+        assert W.classes.sizes[j] * centralizer_order(G, W.types[j]) == W.order
 
 
 def test_wreath_group_structure(C3):
