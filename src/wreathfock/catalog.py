@@ -17,8 +17,8 @@ import json
 import re
 from functools import lru_cache
 
-from .groups import (FiniteGroup, Homomorphism, Permutation,
-                     ResourceLimitError, group_from_permutation_generators,
+from .groups import (FiniteGroup, Homomorphism, Permutation, check_order_cap,
+                     group_from_permutation_generators,
                      hom_from_generator_images, max_order_cap)
 
 _CYCLIC = re.compile(r"^C(\d+)$")
@@ -34,10 +34,7 @@ def catalog_group(name: str) -> FiniteGroup:
     higher cap is refused under a lower one, as `wreath_group` does.
     """
     G = _build_catalog_group(name)
-    cap = max_order_cap()
-    if G.order > cap:
-        raise ResourceLimitError(
-            f"|{name}| = {G.order} exceeds the element cap {cap}")
+    check_order_cap(name, G.order)
     return G
 
 

@@ -155,11 +155,7 @@ def pullback_along(f: ClassFunction, h: Homomorphism) -> ClassFunction:
     """
     if f.group is not h.cod:
         raise ValueError("function lives on a different group than h lands in")
-    dom_classes = h.dom.classes
-    cod_classes = h.cod.classes
-    vals = [f.values[cod_classes.class_of_desc(h.map_desc(rd))]
-            for rd in dom_classes.rep_descs]
-    return ClassFunction(h.dom, vals)
+    return ClassFunction(h.dom, map(f.values.__getitem__, h.class_map))
 
 
 def restrict(f: ClassFunction, incl: Homomorphism) -> ClassFunction:
@@ -194,11 +190,8 @@ def induce(f: ClassFunction, incl: Homomorphism,
     if strategy == "fusion":
         g_classes = G.classes
         acc = [Fraction(0)] * g_classes.num_classes
-        h_classes = H.classes
-        for j, rd in enumerate(h_classes.rep_descs):
-            a = g_classes.class_of_desc(incl.map_desc(rd))
-            cent_h = H.order // h_classes.sizes[j]
-            acc[a] += f.values[j] / cent_h
+        for j, a in enumerate(incl.class_map):
+            acc[a] += f.values[j] / H.classes.centralizer_order(j)
         vals = [G.order // g_classes.sizes[a] * acc[a]
                 for a in range(g_classes.num_classes)]
         return ClassFunction(G, vals)

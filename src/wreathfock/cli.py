@@ -16,13 +16,12 @@ from collections.abc import Iterator
 
 from .catalog import (catalog_group, is_catalog_name, load_group_file,
                       load_hom_file, hom_from_json, resolve_group)
-from .fock import (DEFAULT_MAX_LEVEL, graded_dimension_series,
-                   kunneth_generator_identity, monomial_value)
+from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
 from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
-                       verify_class_ring_decomposition)
+                       n_cycle_classes_closed, verify_class_ring_decomposition)
 from .wreath import TypeMatrix, _colored_partitions, centralizer_order
 
 
@@ -185,7 +184,7 @@ def _trivial_hom(G: FiniteGroup, K: FiniteGroup) -> Homomorphism:
     if K.order != 1:
         raise ValueError("only maps to the trivial group can be implied; "
                          "give --alpha/--beta or a scenario file")
-    return Homomorphism(G, K, index_map=lambda i: 0, label="collapse")
+    return Homomorphism(G, K, [0] * G.order, label="collapse")
 
 
 def _load_scenario(args):
@@ -293,11 +292,9 @@ def cmd_fock_kunneth(args) -> int:
     G, H = _load_base(args.G), _load_base(args.H)
     checks, failures = 0, 0
     for n in range(1, args.max_level + 1):
-        for c in range(G.classes.num_classes):
-            for d in range(H.classes.num_classes):
-                checks += 1
-                if not kunneth_generator_identity(G, H, n, c, d):
-                    failures += 1
+        verdicts = [holds for _, _, holds in n_cycle_classes_closed(G, H, n)]
+        checks += len(verdicts)
+        failures += verdicts.count(False)
     doc = {"G": G.label, "H": H.label, "max_level": args.max_level,
            "checks": checks, "all_equal": failures == 0}
     _emit(args, doc,
@@ -345,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"),
                         default="table")
-    common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                        help="element cap for group constructions")
+    common.add_argument("--max-order", type=int,
+                        help="element cap for group constructions "
+                             f"(default {DEFAULT_MAX_ORDER}, or "
+                             f"{ENV_MAX_ORDER} if set)")
     common.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL,
                         help="highest graded level commands may touch")
 
@@ -432,14 +431,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     saved = os.environ.get(ENV_MAX_ORDER)
     try:
-        if args.max_order < 1:
+        if args.max_order is not None and args.max_order < 1:
             raise ValueError("--max-order must be a positive integer, "
                              f"got {args.max_order}")
         for dest, name in _SIZE_ARGS.items():
             if getattr(args, dest, 0) < 0:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"got {getattr(args, dest)}")
-        if args.max_order != DEFAULT_MAX_ORDER:
+        if args.max_order is not None:
+            # a given flag wins over the environment, for this command only
             os.environ[ENV_MAX_ORDER] = str(args.max_order)
         max_order_cap()  # a bad WREATHFOCK_MAX_ORDER fails here, by name
         return args.fn(args)

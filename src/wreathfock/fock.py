@@ -39,9 +39,9 @@ from fractions import Fraction
 from .classfun import (ClassFunction, external_product, induce, one,
                        pullback_along, zero)
 from .groups import FiniteGroup
+from .pullback import n_cycle_classes_closed
 from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
-                     class_count_series, embed_product, quotient_to_symmetric,
-                     split_type)
+                     class_count_series, embed_product, quotient_to_symmetric)
 
 DEFAULT_MAX_LEVEL = 4
 ZERO = Fraction(0)
@@ -166,16 +166,17 @@ def kunneth_generator_identity(G: FiniteGroup, H: FiniteGroup, n: int,
     Both sides are compared class by class on the types of (G x H) wr S_n,
     whose colors are the pairs c * kH + d: the left side is 1 on a type
     whose projections (`split_type`) are the two single n-cycle types, the
-    right side on the single n-cycle type colored c * kH + d.  No group is
-    built.
+    right side on the single n-cycle type colored c * kH + d, which has
+    those projections.  So the identity holds iff that type is the only
+    one over its projections: iff its class is closed, as
+    `pullback.n_cycle_classes_closed` decides for every (c, d) in one pass
+    over the types.  No group is built.
     """
     kG, kH = G.classes.num_classes, H.classes.num_classes
-    if not (0 <= c < kG and 0 <= d < kH):
-        raise ValueError(f"no class pair ({c}, {d}) in {G.label} x {H.label}")
-    sides = (TypeMatrix.single(n, c), TypeMatrix.single(n, d))
-    target = TypeMatrix.single(n, c * kH + d)
-    return all((split_type(t, kH) == sides) == (t == target)
-               for t in _colored_partitions(kG * kH, n))
+    if n < 1 or not (0 <= c < kG and 0 <= d < kH):
+        raise ValueError(f"no {n}-cycle generator pair ({c}, {d}) in "
+                         f"{G.label} x {H.label}")
+    return n_cycle_classes_closed(G, H, n)[c * kH + d][2]
 
 
 def graded_dimension_series(G: FiniteGroup, N: int):

@@ -23,6 +23,7 @@ which builds it for its ambient group before the element sweep.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from array import array
@@ -45,14 +46,13 @@ class NotASubgroupError(ValueError):
     pass
 
 
-def max_order_cap(explicit: int | None = None) -> int:
-    """Element cap for group constructions; overridable per call or via env.
+def max_order_cap() -> int:
+    """Element cap for group constructions: DEFAULT_MAX_ORDER, or the
+    value of the WREATHFOCK_MAX_ORDER environment variable.
 
     Raises ValueError naming the variable when the env value is not a
     positive integer.
     """
-    if explicit is not None:
-        return explicit
     env = os.environ.get(ENV_MAX_ORDER)
     if not env:
         return DEFAULT_MAX_ORDER
@@ -63,6 +63,14 @@ def max_order_cap(explicit: int | None = None) -> int:
     if cap < 1:
         raise ValueError(f"{ENV_MAX_ORDER} must be a positive integer, got {env!r}")
     return cap
+
+
+def check_order_cap(label: str, order: int) -> None:
+    """Refuse a group of the given order above the element cap."""
+    cap = max_order_cap()
+    if order > cap:
+        raise ResourceLimitError(
+            f"|{label}| = {order} exceeds the element cap {cap}")
 
 
 def _gather(seq, idx) -> tuple:
@@ -446,8 +454,7 @@ class FiniteGroup:
 # construction and inspection
 
 
-def group_from_permutation_generators(degree, generators, label=None, *,
-                                      max_order=None):
+def group_from_permutation_generators(degree, generators, label=None):
     """Closure of permutation generators under products, enumerated by BFS.
 
     Deterministic: the identity is index 0 and new elements appear in
@@ -458,7 +465,7 @@ def group_from_permutation_generators(degree, generators, label=None, *,
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    cap = max_order_cap(max_order)
+    cap = max_order_cap()
     ident = Permutation.identity(degree)
     elements = [ident]
     index = {ident: 0}
@@ -629,9 +636,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     Returns (P, proj_G, proj_H, incl_G, incl_H).
     """
     nG, nH = G.order, H.order
-    if nG * nH > max_order_cap():
-        raise ResourceLimitError(
-            f"product order {nG * nH} exceeds the element cap")
+    label = label or f"({G.label} x {H.label})"
+    check_order_cap(label, nG * nH)
     elements = [(i, j) for i in range(nG) for j in range(nH)]
 
     def mul(a, b):
@@ -647,8 +653,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
 
     gens = [(g, 0) for g in G.generator_indices] + \
            [(0, h) for h in H.generator_indices]
-    P = FiniteGroup(label or f"({G.label} x {H.label})", elements, mul,
-                    generators=gens, _column_of=column)
+    P = FiniteGroup(label, elements, mul, generators=gens, _column_of=column)
     P._inverses = array("i", pairs(G._inverse_array(), H._inverse_array()))
     cG, cH = G.classes, H.classes
     kH = cH.num_classes
@@ -658,14 +663,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
         P, sizes, rep_descs,
         classifier=lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]),
         make_class_of=lambda: array("i", pairs(cG.class_of, cH.class_of, kH)))
-    proj_G = Homomorphism(P, G, index_map=lambda i: i // nH,
+    proj_G = Homomorphism(P, G, [i for i in range(nG) for _ in range(nH)],
                           label="first projection")
-    proj_H = Homomorphism(P, H, index_map=lambda i: i % nH,
+    proj_H = Homomorphism(P, H, list(range(nH)) * nG,
                           label="second projection")
-    incl_G = Homomorphism(G, P, index_map=lambda i: i * nH,
+    incl_G = Homomorphism(G, P, range(0, nG * nH, nH),
                           label="first inclusion")
-    incl_H = Homomorphism(H, P, index_map=lambda j: j,
-                          label="second inclusion")
+    incl_H = Homomorphism(H, P, range(nH), label="second inclusion")
     for f in (proj_G, proj_H, incl_G, incl_H):
         f.verify()
     return P, proj_G, proj_H, incl_G, incl_H
@@ -678,39 +682,33 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
 class Homomorphism:
     """Group homomorphism dom -> cod as a total map on element indices.
 
-    Backed by an eager image list, an index-level map, or a descriptor-level
-    map; the image list is materialized on demand.  `verify()` proves
-    multiplicativity on all pairs by checking the edges of the Cayley graph
-    of a generating set of the domain.
+    Backed by an image list, or by a descriptor-level map whose image list
+    is made only when an element is asked for: the maps out of a wreath
+    level are descriptor maps, so class-level work on the level never lays
+    out its elements.  `class_map` is the map on classes, made once.
+    `verify()` proves multiplicativity on all pairs by checking the edges
+    of the Cayley graph of a generating set of the domain.
     """
 
-    def __init__(self, dom, cod, images=None, *, index_map=None,
-                 desc_map=None, label=""):
-        if sum(x is not None for x in (images, index_map, desc_map)) != 1:
-            raise ValueError("need exactly one of images/index_map/desc_map")
+    def __init__(self, dom, cod, images=None, *, desc_map=None, label=""):
+        if (images is None) == (desc_map is None):
+            raise ValueError("need exactly one of images/desc_map")
         self.dom = dom
         self.cod = cod
         self.label = label
         self._images = None if images is None else list(images)
-        self._index_map = index_map
         self._desc_map = desc_map
 
     @property
     def images(self) -> list[int]:
         if self._images is None:
-            if self._index_map is not None:
-                self._images = [self._index_map(i)
-                                for i in range(self.dom.order)]
-            else:
-                self._images = [self.cod.index_of(self._desc_map(d))
-                                for d in self.dom.elements]
+            self._images = [self.cod.index_of(self._desc_map(d))
+                            for d in self.dom.elements]
         return self._images
 
     def __call__(self, i: int) -> int:
         if self._images is not None:
             return self._images[i]
-        if self._index_map is not None:
-            return self._index_map(i)
         return self.cod.index_of(self._desc_map(self.dom.elements[i]))
 
     def map_desc(self, desc):
@@ -718,6 +716,15 @@ class Homomorphism:
         if self._desc_map is not None:
             return self._desc_map(desc)
         return self.cod.elements[self(self.dom.index_of(desc))]
+
+    @functools.cached_property
+    def class_map(self) -> tuple[int, ...]:
+        """The class of cod holding the image of each dom class
+        representative, in dom's class order: the map on classes that
+        pullback, restriction and induction by fusion read."""
+        cod_classes = self.cod.classes
+        return tuple(cod_classes.class_of_desc(self.map_desc(rd))
+                     for rd in self.dom.classes.rep_descs)
 
     def verify(self) -> None:
         """Check f(x*y) == f(x)*f(y) for all x, y in the domain.
@@ -766,7 +773,7 @@ def compose_homs(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     if inner.cod is not outer.dom:
         raise ValueError("composition mismatch")
     return Homomorphism(inner.dom, outer.cod,
-                        index_map=lambda i: outer(inner(i)),
+                        _gather(outer.images, inner.images),
                         label=f"{outer.label} o {inner.label}")
 
 

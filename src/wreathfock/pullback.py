@@ -86,13 +86,6 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
 # conjugacy closedness
 
 
-def _class_map(f: Homomorphism) -> list[int]:
-    """Class of f.cod holding the image of each f.dom class representative."""
-    cod_classes = f.cod.classes
-    return [cod_classes.class_of_desc(f.map_desc(rd))
-            for rd in f.dom.classes.rep_descs]
-
-
 def is_conjugacy_closed(incl: Homomorphism):
     """Whether every subgroup class is the full intersection of its ambient
     class with the subgroup: [x]_sub == [x]_amb ∩ sub for all x.
@@ -106,7 +99,7 @@ def is_conjugacy_closed(incl: Homomorphism):
     order) whose ambient class holds another, y the least-indexed other.
     """
     by_ambient: dict[int, list[int]] = {}
-    for j, a in enumerate(_class_map(incl)):
+    for j, a in enumerate(incl.class_map):
         by_ambient.setdefault(a, []).append(j)
     shared = [js for js in by_ambient.values() if len(js) > 1]
     if not shared:
@@ -121,15 +114,9 @@ def restriction_map_matrix(incl: Homomorphism):
     class j lies inside ambient class i.  Every row sums to 1.
 
     The test oracle for `fusion_pattern`: its rank is the image rank."""
-    sub, amb = incl.dom, incl.cod
-    amb_classes = amb.classes
-    rows = []
-    for rd in sub.classes.rep_descs:
-        a = amb_classes.class_of_desc(incl.map_desc(rd))
-        row = [Fraction(0)] * amb_classes.num_classes
-        row[a] = Fraction(1)
-        rows.append(row)
-    return rows
+    namb = incl.cod.classes.num_classes
+    return [[Fraction(int(i == a)) for i in range(namb)]
+            for a in incl.class_map]
 
 
 def fusion_pattern(incl: Homomorphism) -> dict[str, int]:
@@ -140,7 +127,7 @@ def fusion_pattern(incl: Homomorphism) -> dict[str, int]:
     Restriction sends each ambient indicator to the sum of the indicators
     of the subgroup classes inside it, and these sums have disjoint
     supports, so the rank is the number of ambient classes hit."""
-    sub_of = _class_map(incl)
+    sub_of = incl.class_map
     namb = incl.cod.classes.num_classes
     hits = [0] * namb
     for a in sub_of:
@@ -229,12 +216,12 @@ def verify_class_ring_decomposition(pb: PullbackGroup) -> DecompositionReport:
     so the map's rank is the number of pairs that Gamma-classes meet, and
     the relations die iff every met pair lies over one K-class.
     """
-    over_K_G, over_K_H = _class_map(pb.alpha), _class_map(pb.beta)
+    over_K_G, over_K_H = pb.alpha.class_map, pb.beta.class_map
     count_G, count_H = Counter(over_K_G), Counter(over_K_H)
     quotient_dim = sum(count_G[x] * count_H[x] for x in count_G)
     # product classes are (G-class, H-class) pairs in lexicographic order
     kH = pb.H.classes.num_classes
-    met = {divmod(a, kH) for a in _class_map(pb.incl)}
+    met = {divmod(a, kH) for a in pb.incl.class_map}
     if any(over_K_G[rho] != over_K_H[gam] for rho, gam in met):
         raise AssertionError("tensor relation does not vanish on the carrier")
     kC = pb.carrier.classes.num_classes
@@ -283,7 +270,8 @@ def n_cycle_classes_closed(A: FiniteGroup, B: FiniteGroup, n: int):
     the class is closed iff no other class projects to the same pair of
     types (`split_type`).  The classes are the colored partitions of n over
     the kA * kB class pairs of A x B, so neither A x B nor its wreath level
-    is built.  Returns a list of (class_index, type, closed)."""
+    is built.  Returns a list of (class_index, type, closed), one per class
+    pair (c, d), in the order c * kB + d of the types' colors."""
     kB = B.classes.num_classes
     types = _colored_partitions(A.classes.num_classes * kB, n)
     projections = [split_type(t, kB) for t in types]

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .catalog import catalog_group
 from .groups import (ConjugacyClasses, FiniteGroup, Homomorphism, Permutation,
-                     ResourceLimitError, direct_product, max_order_cap)
+                     check_order_cap, direct_product)
 
 
 class WreathElement(NamedTuple):
@@ -221,13 +221,6 @@ def split_type(t: TypeMatrix, kH: int) -> tuple[TypeMatrix, TypeMatrix]:
             TypeMatrix([(r, c % kH, m) for r, c, m in t.entries]))
 
 
-def _check_cap(label: str, order: int, max_order=None) -> None:
-    cap = max_order_cap(max_order)
-    if order > cap:
-        raise ResourceLimitError(
-            f"|{label}| = {order} exceeds the element cap {cap}")
-
-
 # ---------------------------------------------------------------------------
 # the group itself
 
@@ -312,7 +305,7 @@ class WreathGroup(FiniteGroup):
         Every element-level array starts here, so this is where the
         element cap is enforced.
         """
-        _check_cap(self.label, self.order)
+        check_order_cap(self.label, self.order)
         return list(itertools.permutations(range(self.n)))
 
     @functools.cached_property
@@ -405,7 +398,7 @@ def _level(G: FiniteGroup, n: int) -> WreathGroup:
     return W
 
 
-def wreath_group(G: FiniteGroup, n: int, *, max_order=None) -> WreathGroup:
+def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
     """The cached level G wr S_n, for element-level work.
 
     Refused when |G|^n * n! exceeds the element cap, checked before the
@@ -413,8 +406,7 @@ def wreath_group(G: FiniteGroup, n: int, *, max_order=None) -> WreathGroup:
     level already exists.  Class-level code, which never needs an element,
     uses `_level` and is not limited by the cap.
     """
-    _check_cap(f"{G.label} wr S{n}", G.order ** n * math.factorial(n),
-               max_order)
+    check_order_cap(f"{G.label} wr S{n}", G.order ** n * math.factorial(n))
     return _level(G, n)
 
 
@@ -446,7 +438,7 @@ def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
         emb = cache[(n, m)] = Homomorphism(P, amb, desc_map=embed,
                                            label=f"embed {n}+{m}")
     for H in (emb.dom, emb.cod):
-        _check_cap(H.label, H.order)
+        check_order_cap(H.label, H.order)
     return emb
 
 

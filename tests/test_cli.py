@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from wreathfock import ratlinalg
+from wreathfock import catalog, ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
 from wreathfock.fock import change_of_basis
+from wreathfock.wreath import WreathGroup
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
@@ -189,6 +190,30 @@ def test_class_level_fock_commands_run_above_the_element_cap(monkeypatch,
         assert doc["all_equal"] is True and doc["checks"] == checks
 
 
+@pytest.mark.parametrize("argv", [
+    ["wreath", "classes", "C2", "6"],
+    ["fock", "basis", "C2", "--level", "6", "--max-level", "6"],
+    ["fock", "product", "S3", "--monomial", "[[1,0,2],[2,1,1]]"],
+    ["fock", "kunneth", "C2", "C3", "--max-level", "3"],
+])
+def test_class_level_commands_lay_out_no_wreath_element(monkeypatch, capsys,
+                                                         argv):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError(f"{self.label} laid out its elements")
+
+    # every element-level array of a level starts at _slot_perms
+    monkeypatch.setattr(WreathGroup, "_enumerate", refuse)
+    monkeypatch.setattr(WreathGroup, "_slot_perms", property(refuse))
+    # fresh groups, so no level was laid out before the patch
+    monkeypatch.setattr(catalog, "_build_catalog_group",
+                        catalog._build_catalog_group.__wrapped__)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv,flag,repeated,merged", [
     (["wreath", "centralizer", "C2", "2"], "--type",
      "[[1,0,1],[1,0,1]]", "[[1,0,2]]"),
@@ -347,24 +372,26 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
-def test_resource_cap_exit_code(tmp_path):
+@pytest.fixture
+def s5_file(tmp_path):
+    """S5 as a group file: built afresh by every command, never cached."""
     p = tmp_path / "s5.json"
     p.write_text(json.dumps({"name": "S5", "degree": 5,
                              "generators": [[1, 0, 2, 3, 4],
                                             [1, 2, 3, 4, 0]]}))
-    code, _, err = run_cli("group", "info", str(p), "--max-order", "50")
+    return p
+
+
+def test_resource_cap_exit_code(s5_file):
+    code, _, err = run_cli("group", "info", str(s5_file), "--max-order", "50")
     assert code == 3 and "cap" in err
 
 
-def test_env_var_caps_construction(tmp_path):
-    p = tmp_path / "s5.json"
-    p.write_text(json.dumps({"name": "S5", "degree": 5,
-                             "generators": [[1, 0, 2, 3, 4],
-                                            [1, 2, 3, 4, 0]]}))
-    code, _, _ = run_cli("group", "info", str(p),
+def test_env_var_caps_construction(s5_file):
+    code, _, _ = run_cli("group", "info", str(s5_file),
                          env={"WREATHFOCK_MAX_ORDER": "50"})
     assert code == 3
-    code, _, _ = run_cli("group", "info", str(p),
+    code, _, _ = run_cli("group", "info", str(s5_file),
                          env={"WREATHFOCK_MAX_ORDER": "500"})
     assert code == 0
 
@@ -392,6 +419,15 @@ def test_max_order_flag_does_not_leak_into_the_process(monkeypatch, capsys):
     monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "7000")
     assert main(["group", "info", "S4", "--max-order", "50"]) == 0
     assert os.environ["WREATHFOCK_MAX_ORDER"] == "7000"
+
+
+@pytest.mark.parametrize("cap", ["200000", "200001"])
+def test_max_order_flag_wins_over_the_env_var(monkeypatch, s5_file, cap):
+    # the flag's default value too: a given flag always wins
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "50")
+    assert main(["group", "info", str(s5_file)]) == 3
+    assert main(["group", "info", str(s5_file), "--max-order", cap]) == 0
+    assert os.environ["WREATHFOCK_MAX_ORDER"] == "50"
 
 
 def test_bad_env_cap_is_a_usage_error():

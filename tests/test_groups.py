@@ -140,12 +140,12 @@ def test_enumeration_is_deterministic():
     assert a.classes.rep_descs == b.classes.rep_descs
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "100")
     with pytest.raises(ResourceLimitError):
         group_from_permutation_generators(
             5, [Permutation.from_cycles(5, [(0, 1)]),
-                Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])],
-            max_order=100)
+                Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
 
 
 def test_cayley_table_agrees_with_native(S3):
@@ -449,6 +449,36 @@ def test_columns_are_the_native_columns(G, H, data):
     T = with_generators(G, G.generator_indices)
     T.cayley_table()
     assert [list(T.column(s)) for s in range(T.order)] == columns_of(table)
+
+
+def assert_class_map_reads_every_image(f):
+    """class_map[k] is the class of f(x) for every x in class k of f.dom,
+    and is made once."""
+    dom_of, cod_of = f.dom.classes.class_of, f.cod.classes.class_of
+    assert f.class_map is f.class_map
+    assert len(f.class_map) == f.dom.classes.num_classes
+    for x in range(f.dom.order):
+        assert f.class_map[dom_of[x]] == cod_of[f(x)]
+
+
+@walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3), st.data())
+def test_class_map_is_the_class_of_every_image(G, H, data):
+    table = native_table(G)
+    g = data.draw(st.integers(0, G.order - 1))
+    inner = Homomorphism(G, G, [table[table[g][x]][G.inv(g)]
+                                for x in range(G.order)], label="inner")
+    sign = Homomorphism(G, catalog_group("C2"),
+                        [int(p.sign() < 0) for p in G.elements], label="sign")
+    picks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    _, incl = subgroup(G, closure(table, picks))
+    _, proj_G, proj_H, incl_G, incl_H = direct_product(G, H)
+    for f in (inner, sign, incl, proj_G, proj_H, incl_G, incl_H,
+              compose_homs(inner, incl), compose_homs(sign, proj_G),
+              compose_homs(incl_G, inner), compose_homs(proj_H, incl_H),
+              compose_homs(sign, compose_homs(proj_G, incl_G))):
+        f.verify()
+        assert_class_map_reads_every_image(f)
 
 
 def test_subgroup_column_refuses_an_escaping_product(S3, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_groups import perm_groups
+from test_groups import assert_class_map_reads_every_image, perm_groups
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction
 from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
@@ -162,9 +162,10 @@ def test_wreath_group_is_cached(C3):
     assert wreath_group(C3, 2) is wreath_group(C3, 2)
 
 
-def test_wreath_order_cap(S3):
+def test_wreath_order_cap(S3, monkeypatch):
+    monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "10000")
     with pytest.raises(ResourceLimitError):
-        wreath_group(S3, 4, max_order=10_000)
+        wreath_group(S3, 4)
 
 
 def test_class_equation_from_types():
@@ -242,6 +243,16 @@ def test_embedding_fuses_types(C2):
         for j, y in enumerate(W1.elements):
             z = emb.map_desc((i, j))
             assert type_of(C2, z) == type_of(C2, x) + type_of(C2, y)
+
+
+@pytest.mark.parametrize("name,n", [("C2", 3), ("S3", 2)])
+def test_class_map_of_descriptor_maps(name, n):
+    G = catalog_group.__wrapped__(name)   # fresh, so no map has images yet
+    for f in (quotient_to_symmetric(wreath_group(G, n)),
+              embed_product(G, 1, n - 1)):
+        assert len(f.class_map) == f.dom.classes.num_classes
+        assert f._images is None            # class_map laid out no image
+        assert_class_map_reads_every_image(f)
 
 
 def test_embed_product_is_cached_per_base_and_levels():
