@@ -174,9 +174,15 @@ def hom_from_json(doc: dict, registry: dict | None = None,
     generators, and checked on every edge, exactly as
     `hom_from_generator_images` does.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a homomorphism is a JSON object with "
+                         f"generator_images, got {json.dumps(doc)[:60]}")
     dom = dom if dom is not None else resolve_group(doc["from"], registry)
     cod = cod if cod is not None else resolve_group(doc["to"], registry)
-    entries = doc["generator_images"]
+    entries = doc.get("generator_images")
+    if not isinstance(entries, list):
+        raise ValueError("generator_images must be a list of images, "
+                         f"got {json.dumps(entries)[:60]}")
     gens = dom.generator_indices
     if len(entries) != len(gens):
         raise ValueError(

@@ -187,18 +187,45 @@ def _trivial_hom(G: FiniteGroup, K: FiniteGroup) -> Homomorphism:
     return Homomorphism(G, K, [0] * G.order, label="collapse")
 
 
+def _message(e: Exception) -> str:
+    """An exception's message; a KeyError's without the quotes that str()
+    puts around it."""
+    return str(e.args[0]) if isinstance(e, KeyError) and e.args else str(e)
+
+
+def _load_scenario_file(path):
+    """(G, H, K, alpha, beta) from a scenario file.  A malformed file is a
+    ValueError naming the file and, where one is at fault, the key."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"scenario {path}: not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario {path}: expected a JSON object with "
+                         f"keys G, H and K, got {json.dumps(doc)[:60]}")
+    for key in ("G", "H", "K"):
+        if key not in doc:
+            raise ValueError(f"scenario {path}: missing key {key!r}")
+
+    def part(key, make):
+        try:
+            return make(doc[key])
+        except (KeyError, ValueError) as e:
+            raise ValueError(f"scenario {path}: key {key!r}: "
+                             f"{_message(e)}") from None
+
+    G, H, K = (part(key, resolve_group) for key in ("G", "H", "K"))
+    alpha = (part("alpha", lambda doc: hom_from_json(doc, dom=G, cod=K))
+             if doc.get("alpha") else _trivial_hom(G, K))
+    beta = (part("beta", lambda doc: hom_from_json(doc, dom=H, cod=K))
+            if doc.get("beta") else _trivial_hom(H, K))
+    return G, H, K, alpha, beta
+
+
 def _load_scenario(args):
     if args.scenario:
-        with open(args.scenario) as fh:
-            doc = json.load(fh)
-        G = resolve_group(doc["G"])
-        H = resolve_group(doc["H"])
-        K = resolve_group(doc["K"])
-        alpha = (hom_from_json(doc["alpha"], dom=G, cod=K)
-                 if doc.get("alpha") else _trivial_hom(G, K))
-        beta = (hom_from_json(doc["beta"], dom=H, cod=K)
-                if doc.get("beta") else _trivial_hom(H, K))
-        return G, H, K, alpha, beta
+        return _load_scenario_file(args.scenario)
     if not (args.G and args.H and args.K):
         raise ValueError("need --scenario or all of --G/--H/--K")
     G, H, K = _load_base(args.G), _load_base(args.H), _load_base(args.K)
@@ -262,9 +289,12 @@ def cmd_fock_basis(args) -> int:
         raise ValueError(f"level {args.level} above --max-level {args.max_level}")
     # The change-of-basis matrix is diagonal with entry prod m_i! at each
     # type (see fock.py), so its determinant is the product of the entries
-    # and never vanishes.
+    # and never vanishes.  Its digits come from Decimal, which is exact on
+    # an int and not bound by the interpreter's int-to-string digit limit.
+    from decimal import Decimal
     types = _colored_partitions(G.classes.num_classes, args.level)
-    d = math.prod(math.factorial(m) for t in types for _, _, m in t.entries)
+    d = str(Decimal(math.prod(math.factorial(m)
+                              for t in types for _, _, m in t.entries)))
     doc = {"group": G.label, "level": args.level, "dimension": len(types),
            "determinant": f"{d}/1", "invertible": True}
     _emit(args, doc,
@@ -446,8 +476,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as e:
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 2
     finally:
         if saved is None:

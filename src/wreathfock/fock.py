@@ -9,9 +9,10 @@ types, so
     (f * g)[t] = |C(t)| * sum over t1 + t2 = t of
                  f[t1] g[t2] / (|C(t1)| |C(t2)|),
 
-with all centralizer orders given by the product formula.  Only the pairs
-of types in the supports of f and g are visited, so a product costs the
-product of the support sizes plus one pass over the ambient classes to lay
+with all centralizer orders given by the product formula.  `_fuse` applies
+this rule to weighted supports, the lists of (t, f[t] / |C(t)|) over the
+types where f is nonzero, so a product visits only the pairs of types in
+the two supports and then makes one pass over the ambient classes to lay
 out the dense result.  The literal element-sum induction is kept as the
 ``"elements"`` oracle strategy; the two must agree exactly wherever the
 ambient group is enumerable.
@@ -22,7 +23,9 @@ monomials in them, one per colored partition of n, form a basis of level n
 change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
 times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
 returns that closed form; `change_of_basis` multiplies the generators out
-and is its oracle.
+and is its oracle.  It runs each chain of generators on weighted supports
+through `_fuse`, with no class function per step, and lays each row out
+once, at level n.
 
 Everything here except the ``"elements"`` strategy is class-level work on
 the types of each level, so it is bounded by the level (``--max-level``),
@@ -61,15 +64,39 @@ def _weighted_support(f: ClassFunction) -> list:
             for t, v, size in zip(W.types, f.values, W.classes.sizes) if v]
 
 
+def _fuse(fs, gs: list) -> dict:
+    """The fusion rule on weighted supports: {t1 + t2: sum of a * b} over
+    the pairs (t1, a) of fs and (t2, b) of gs, a weight being a value
+    divided by the centralizer order of its type.  fs is read once, gs
+    once per pair of fs."""
+    acc: dict = {}
+    for t1, a in fs:
+        for t2, b in gs:
+            t = t1 + t2
+            acc[t] = acc[t] + a * b if t in acc else a * b
+    return acc
+
+
+def _lay_out(W: WreathGroup, weights: dict) -> list:
+    """The dense values on the classes of W of {type: weight}: each weight
+    times the centralizer order of its type, zero elsewhere."""
+    index, order, sizes = W.class_index_of_type, W.order, W.classes.sizes
+    vals = [ZERO] * W.classes.num_classes
+    for t, x in weights.items():
+        k = index(t)
+        vals[k] = order // sizes[k] * x
+    return vals
+
+
 def fock_product(f: ClassFunction, g: ClassFunction,
                  strategy: str = "fusion") -> ClassFunction:
     """Graded product F(G) level n x level m -> level n+m.
 
     ``"fusion"`` never touches elements: it weights each nonzero value once
-    by its centralizer order, accumulates the products of the weights per
-    fused type t1 + t2, and scales only those entries by |C(t1 + t2)|.
-    ``"elements"`` builds the product group and the embedding and runs the
-    literal induction sum (the oracle).
+    by its centralizer order, multiplies the weighted supports out with
+    `_fuse`, and lays the fused weights out once on the ambient level,
+    scaled by |C(t1 + t2)|.  ``"elements"`` builds the product group and
+    the embedding and runs the literal induction sum (the oracle).
     """
     Gn, Gm = _wreath_of(f), _wreath_of(g)
     if Gn.base is not Gm.base:
@@ -77,18 +104,8 @@ def fock_product(f: ClassFunction, g: ClassFunction,
     base = Gn.base
     amb = _level(base, Gn.n + Gm.n)
     if strategy == "fusion":
-        index = amb.class_index_of_type
-        gs = _weighted_support(g)
-        acc: dict = {}
-        for t1, a in _weighted_support(f):
-            for t2, b in gs:
-                k = index(t1 + t2)
-                acc[k] = acc[k] + a * b if k in acc else a * b
-        order, sizes = amb.order, amb.classes.sizes
-        vals = [ZERO] * amb.classes.num_classes
-        for k, x in acc.items():
-            vals[k] = order // sizes[k] * x
-        return ClassFunction(amb, vals)
+        return ClassFunction(amb, _lay_out(
+            amb, _fuse(_weighted_support(f), _weighted_support(g))))
     if strategy == "elements":
         emb = embed_product(base, Gn.n, Gm.n)
         return induce(external_product(f, g, emb.dom), emb, strategy="elements")
@@ -125,14 +142,32 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     of n in their canonical order.  Invertibility says the monomials are a
     basis of level n.
 
-    Each row multiplies its generators out with `fock_product` under
-    `strategy`, so this matrix and its exact determinant are the oracle for
-    the closed forms of `monomial_value` and `fock basis`.
+    Each row multiplies its generators out by the fusion rule, so this
+    matrix and its exact determinant are the oracle for the closed forms
+    of `monomial_value` and `fock basis`.  Under ``"fusion"`` a row runs
+    its chain on weighted supports through `_fuse`, starting from the
+    unit's, with each generator's support taken once per call, and is laid
+    out once, at level n.  Under ``"elements"`` every step is a
+    `fock_product` by induced class functions.
 
     Returns (rows, types).
     """
-    types = _level(G, n).types
+    W = _level(G, n)
+    types = W.types
     rows = []
+    if strategy == "fusion":
+        unit = dict(_weighted_support(one(_level(G, 0))))
+        supports: dict = {}
+        for t in types:
+            fs = unit
+            for r, c, m in t.entries:
+                gs = supports.get((r, c))
+                if gs is None:
+                    gs = supports[(r, c)] = _weighted_support(delta(G, r, c))
+                for _ in range(m):
+                    fs = _fuse(fs.items(), gs)
+            rows.append(_lay_out(W, fs))
+        return rows, types
     for t in types:
         f = one(_level(G, 0))
         for r, c, m in t.entries:

@@ -203,18 +203,23 @@ class ConjugacyClasses:
     cycle-type order.  Either way the indexing is reproducible.
     """
 
-    def __init__(self, group, sizes, rep_descs, *, class_of=None, classifier=None,
-                 make_class_of=None):
+    def __init__(self, group, sizes, rep_descs=None, *, class_of=None,
+                 classifier=None, make_class_of=None, make_rep_descs=None):
         # make_class_of(), if given, makes the class_of array on first use
-        # without classifying elements one by one (direct products)
+        # without classifying elements one by one (direct products);
+        # make_rep_descs(), given in place of rep_descs, makes the
+        # representatives on first use (wreath levels)
         self.group = group
         self.sizes = tuple(sizes)
-        self.rep_descs = tuple(rep_descs)
+        self._rep_descs = None if rep_descs is None else tuple(rep_descs)
+        self._make_rep_descs = make_rep_descs
         self._class_of = class_of
         self._classifier = classifier
         self._make_class_of = make_class_of
         if class_of is None and classifier is None:
             raise ValueError("need a class_of array or a classifier")
+        if rep_descs is None and make_rep_descs is None:
+            raise ValueError("need rep_descs or make_rep_descs")
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -243,6 +248,13 @@ class ConjugacyClasses:
         if self._classifier is not None:
             return self._classifier(desc)
         return self.class_of[self.group.index_of(desc)]
+
+    @property
+    def rep_descs(self) -> tuple:
+        """One representative descriptor per class."""
+        if self._rep_descs is None:
+            self._rep_descs = tuple(self._make_rep_descs())
+        return self._rep_descs
 
     @property
     def reps(self) -> tuple[int, ...]:

@@ -1,12 +1,15 @@
 """Exact Gaussian elimination over the rationals.
 
 Matrices are lists of rows of Fractions.  Pivot choice is deterministic:
-columns left to right, first row with a nonzero entry.
+columns left to right, first row with a nonzero entry.  `det` eliminates
+on sparse rows ({column: nonzero entry}) under the same pivot rule, so its
+cost follows the nonzero entries rather than the cells.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,25 +86,48 @@ def solve(rows, rhs):
     return x
 
 
+def _sparse_row(row) -> dict:
+    """{column: entry} over the row's nonzero entries, as Fractions: one
+    truth test per entry, and only nonzero non-Fractions convert."""
+    out = {j: row[j] for j in compress(range(len(row)), row)}
+    for j, x in out.items():
+        if not isinstance(x, Fraction):
+            out[j] = Fraction(x)
+    return out
+
+
 def det(rows) -> Fraction:
-    m = _copy(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """The exact determinant, eliminating on sparse rows.
+
+    Each row is held as {column: nonzero entry}, so the pivot search and
+    the row updates touch only nonzero entries; the pivot rule is the one
+    `rref` uses.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("det needs a square matrix")
+    m = [_sparse_row(row) for row in rows]
     d = ONE
     for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if c in m[i]), None)
         if pr is None:
             return ZERO
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             d = -d
-        d *= m[c][c]
-        inv = ONE / m[c][c]
+        pivot = m[c]
+        d *= pivot[c]
+        inv = ONE / pivot[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+            row = m[i]
+            if c in row:
+                f = row[c] * inv
+                for j, b in pivot.items():
+                    x = row.get(j, ZERO) - f * b
+                    if x:
+                        row[j] = x
+                    else:  # b and f are nonzero, so j was in the row
+                        del row[j]
     return d
 
 

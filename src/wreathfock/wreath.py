@@ -162,23 +162,16 @@ def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
     return types
 
 
-def classes_by_type(G: FiniteGroup, n: int):
-    """All conjugacy classes of G wr S_n as (TypeMatrix, representative).
-
-    Enumerates base-class-colored partitions of n, generated in canonical
-    order: ascending by the type's entry tuple, so the ordering is
-    reproducible.  The representative of a type takes consecutive cycles in
-    (r, c) order with the base class representative in the first slot of
-    each cycle.
-
-    Requires only the conjugacy classes of G, never G wr S_n itself.
-    """
+def _type_reps(G: FiniteGroup, n: int, types) -> list[WreathElement]:
+    """One representative per type of G wr S_n: consecutive cycles in
+    (r, c) order, with the base class representative in the first slot of
+    each cycle."""
     # Representatives share their permutations: a permutation depends only
     # on the cycle lengths, so a level has as many as n has partitions.
     reps = G.classes.reps
     shared_perms: dict = {}
     out = []
-    for t in _colored_partitions(G.classes.num_classes, n):
+    for t in types:
         parts = [0] * n
         images: list[int] = []
         for r, c, m in t.entries:
@@ -191,8 +184,25 @@ def classes_by_type(G: FiniteGroup, n: int):
         perm = shared_perms.get(images)
         if perm is None:
             perm = shared_perms[images] = Permutation._unchecked(images)
-        out.append((t, WreathElement(tuple(parts), perm)))
+        out.append(WreathElement(tuple(parts), perm))
     return out
+
+
+def classes_by_type(G: FiniteGroup, n: int):
+    """All conjugacy classes of G wr S_n as (TypeMatrix, representative).
+
+    The types are the base-class-colored partitions of n in canonical
+    order: ascending by the type's entry tuple, so the ordering is
+    reproducible.  The representative of a type takes consecutive cycles in
+    (r, c) order with the base class representative in the first slot of
+    each cycle.
+
+    Both are read off the cached level (`_level`), whose representatives
+    are made on first use.  Requires only the conjugacy classes of G, never
+    the elements of G wr S_n.
+    """
+    W = _level(G, n)
+    return list(zip(W.types, W.classes.rep_descs))
 
 
 def centralizer_order(G: FiniteGroup, t: TypeMatrix) -> int:
@@ -229,8 +239,9 @@ class WreathGroup(FiniteGroup):
     """G wr S_n with conjugacy decided by type.
 
     Building a level makes only its class data: the types in canonical
-    order, their sizes and one representative each.  That needs the base
-    group's classes alone, so any level can be built, whatever its order.
+    order and their sizes; one representative per type is made on first
+    read of ``classes.rep_descs``.  That needs the base group's classes
+    alone, so any level can be built, whatever its order.
     The element cap (`max_order_cap`) is checked where the elements are
     first laid out (`_slot_perms`): enumeration, columns, inverses and
     element lookups are refused above it, class-level work never is.
@@ -273,8 +284,7 @@ class WreathGroup(FiniteGroup):
         self.base = base
         self.n = n
 
-        typed = classes_by_type(base, n)
-        self.types = [t for t, _ in typed]
+        self.types = types = _colored_partitions(base.classes.num_classes, n)
         self._type_index = {t: i for i, t in enumerate(self.types)}
         cents = [centralizer_order(base, t) for t in self.types]
         sizes = [order // cent for cent in cents]
@@ -288,8 +298,9 @@ class WreathGroup(FiniteGroup):
             except KeyError:
                 raise ValueError(f"{d!r} is not an element of {self.label}") from None
 
-        self._classes = ConjugacyClasses(self, sizes, [rep for _, rep in typed],
-                                         classifier=classify)
+        self._classes = ConjugacyClasses(
+            self, sizes, classifier=classify,
+            make_rep_descs=lambda: _type_reps(base, n, types))
 
     def _enumerate(self):
         perms = [Permutation._unchecked(p) for p in self._slot_perms]

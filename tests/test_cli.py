@@ -1,8 +1,11 @@
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -124,12 +127,81 @@ def test_pullback_verify_iso_scenario(capsys):
     assert doc["order"] == 24 and doc["is_isomorphism"] is True
 
 
+@pytest.mark.parametrize("content,shown", [
+    ("[1, 2]", "expected a JSON object with keys G, H and K, got [1, 2]"),
+    ('{"G": "S3", "H": "S3", "K": "C2", "alpha": [1]}',
+     "key 'alpha': a homomorphism is a JSON object with generator_images, "
+     "got [1]"),
+    ('{"G": "S3", "H": "S3", "K": "C2", "beta": {"images": [1]},'
+     ' "alpha": {"generator_images": [[1, 0], [0, 1]]}}',
+     "key 'beta': generator_images must be a list of images, got null"),
+    ('{"G": "S3", "K": "C2"}', "missing key 'H'"),
+    ('{"G": "nosuch", "H": "S3", "K": "C2"}',
+     "key 'G': unknown catalog group: nosuch"),
+    ('{"G": "S3", "H": ', "not valid JSON"),
+], ids=["top-level-list", "alpha-not-an-object", "no-generator-images",
+        "missing-key", "unknown-group", "not-json"])
+def test_malformed_scenario_is_an_input_error(tmp_path, capsys, content,
+                                              shown):
+    path = tmp_path / "scenario.json"
+    path.write_text(content)
+    assert main(["pullback", "check-closed", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: scenario {path}: {shown}")
+    assert captured.err.count("\n") == 1
+
+
+def test_key_error_message_is_printed_without_quotes(capsys):
+    assert main(["pullback", "check-closed", "--G", "nosuch", "--H", "S3",
+                 "--K", "C2"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown group 'nosuch' (not a catalog name or a file)\n"
+
+
 def test_fock_basis(capsys):
     assert main(["fock", "basis", "C2", "--level", "3",
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 10 and doc["invertible"] is True
     assert doc["determinant"] == "144/1"
+
+
+def factorial_weights(k: int, n: int) -> list[int]:
+    """prod m! over the entries of every k-colored partition of n, by a
+    recursion over the (r, c) pairs independent of the library's."""
+    pairs = [(r, c) for r in range(1, n + 1) for c in range(k)]
+
+    def go(i, left):
+        if left == 0:
+            yield 1
+        elif i < len(pairs):
+            r = pairs[i][0]
+            for m in range(left // r + 1):
+                for w in go(i + 1, left - r * m):
+                    yield w * math.factorial(m)
+
+    return list(go(0, n))
+
+
+def test_fock_basis_determinant_past_the_int_string_limit(capsys):
+    # the determinant has more digits than Python converts int <-> str
+    weights = factorial_weights(2, 16)
+    want = Decimal(math.prod(weights))
+    assert want.adjusted() + 1 > sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    argv = ["fock", "basis", "C2", "--level", "16", "--max-level", "16"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == len(weights)
+    digits, one = doc["determinant"].split("/")
+    assert Decimal(digits) == want and one == "1"
+    assert main(argv) == 0
+    table = re.fullmatch(r"level 16 over C2: (\d+) generator monomials, "
+                         r"determinant (\d+), invertible: True\n",
+                         capsys.readouterr().out)
+    assert int(table[1]) == len(weights) and Decimal(table[2]) == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_fock_basis_respects_level_cap(capsys):

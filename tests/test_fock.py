@@ -1,7 +1,9 @@
+import contextlib
 import math
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -354,6 +356,64 @@ def test_change_of_basis_is_diagonal_factorials(name, top):
             weight = math.prod(math.factorial(m) for _, _, m in t.entries)
             assert rows[i] == [weight if j == i else 0
                                for j in range(len(types))]
+
+
+# ---------------------------------------------------------------------------
+# the change of basis on weighted supports against the product chain
+
+# the top levels of the fock-levels benchmark workload
+BASIS_TOPS = {"trivial": 8, "C2": 6, "C3": 5, "C4": 5, "S3": 4, "D8": 4,
+              "Dic3": 3}
+
+
+def product_chain(G, n: int):
+    """The change of basis as dense `fock_product` chains: each row is the
+    unit times its generators in entry order, one class function per
+    step.  Returns (rows, types)."""
+    types = [t for t, _ in classes_by_type(G, n)]
+    rows = []
+    for t in types:
+        f = one(wreath_group(G, 0))
+        for r, c, m in t.entries:
+            for _ in range(m):
+                f = fock_product(f, delta(G, r, c))
+        rows.append(list(f.values))
+    return rows, types
+
+
+@contextlib.contextmanager
+def no_wreath_elements():
+    """Make every element-level array of a wreath level raise: each one
+    starts at `_enumerate` or `_slot_perms`."""
+    def refuse(self):
+        raise AssertionError(f"{self.label} laid out its elements")
+
+    with mock.patch.object(WreathGroup, "_enumerate", refuse), \
+            mock.patch.object(WreathGroup, "_slot_perms", property(refuse)):
+        yield
+
+
+def assert_basis_is_the_chain(G, n: int):
+    rows, types = change_of_basis(G, n)
+    assert (rows, types) == product_chain(G, n)
+    assert rows == [list(monomial_value(G, t).values) for t in types]
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("name,top", sorted(BASIS_TOPS.items()))
+def test_change_of_basis_is_the_product_chain(name, top):
+    G = catalog_group.__wrapped__(name)     # fresh: no level laid out yet
+    with no_wreath_elements():
+        for n in range(top + 1):
+            assert_basis_is_the_chain(G, n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=4), st.integers(0, 4))
+def test_change_of_basis_is_the_product_chain_on_random_bases(G, n):
+    assume(len(classes_by_type(G, n)) <= 60)
+    with no_wreath_elements():
+        assert_basis_is_the_chain(G, n)
 
 
 # ---------------------------------------------------------------------------

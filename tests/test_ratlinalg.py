@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,54 @@ def test_rref_and_rank_leave_input_and_ignore_entry_types(m, ks):
     for r, pc in enumerate(pivots):
         assert reduced[r][pc] == 1
         assert all(reduced[i][pc] == 0 for i in range(len(reduced)) if i != r)
+
+
+# The sparse-row elimination of `det` against the permutation sum, on
+# dense, sparse, singular and row-permuted matrices of mixed int and
+# Fraction entries.
+
+entry = st.one_of(int_cell, frac_cell)
+
+
+def leibniz(m) -> Fraction:
+    """The determinant as the signed sum over permutations."""
+    n = len(m)
+    total = Fraction(0)
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) if inversions % 2 else Fraction(1)
+        for i, j in enumerate(p):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["dense", "sparse", "singular", "permuted"]))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and shape == "sparse":
+        keep = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1)), max_size=2 * n))
+        m = [[x if (i, j) in keep else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    elif n and shape == "singular":
+        # a row that is a multiple of another, or zero
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(entry)
+        m[i] = [k * x for x in m[j]] if i != j else [0] * n
+    elif shape == "permuted":
+        # the rows of a triangular matrix shuffled, so pivots need swaps
+        m = [[x if j >= i else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+        m = [m[i] for i in draw(st.permutations(range(n)))]
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(square_matrices())
+def test_det_is_the_permutation_sum(m):
+    d = det(m)
+    assert isinstance(d, Fraction)
+    assert d == leibniz(m)

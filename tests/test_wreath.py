@@ -214,6 +214,17 @@ def test_class_reps_share_one_permutation_per_cycle_shape():
         assert len(perms) == partitions
 
 
+def test_level_representatives_are_made_on_first_read():
+    G = catalog_group.__wrapped__("S3")     # fresh: no cached levels
+    W = WreathGroup(G, 5)
+    assert W.classes._rep_descs is None     # a level build makes none
+    reps = W.classes.rep_descs
+    assert len(reps) == len(W.types)
+    assert W.classes.rep_descs is reps
+    assert [type_of(G, rep) for rep in reps] == W.types
+    assert classes_by_type(G, 5) == list(zip(W.types, reps))
+
+
 def test_wreath_classes_property_agrees(C2):
     W = wreath_group(C2, 3)
     typed = classes_by_type(C2, 3)
