@@ -376,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="element cap for group constructions "
                              f"(default {DEFAULT_MAX_ORDER}, or "
                              f"{ENV_MAX_ORDER} if set)")
-    common.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL,
-                        help="highest graded level commands may touch")
 
     p = argparse.ArgumentParser(
         prog="wreathfock",
@@ -439,6 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     fk.add_argument("G")
     fk.add_argument("H")
     fk.set_defaults(fn=cmd_fock_kunneth)
+    for sp in (fb, fp, fk):
+        sp.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL,
+                        help="highest graded level the command may touch")
     fs = fsub.add_parser("series", parents=[common])
     fs.add_argument("group")
     fs.add_argument("--max", type=int, default=6)

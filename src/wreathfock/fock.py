@@ -39,12 +39,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classfun import (ClassFunction, external_product, induce, one,
-                       pullback_along, zero)
+from .catalog import catalog_group
+from .classfun import ClassFunction, external_product, induce, one, zero
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
 from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
-                     class_count_series, embed_product, quotient_to_symmetric)
+                     class_count_series, embed_product)
 
 DEFAULT_MAX_LEVEL = 4
 ZERO = Fraction(0)
@@ -152,6 +152,8 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
 
     Returns (rows, types).
     """
+    if strategy not in ("fusion", "elements"):
+        raise ValueError(f"unknown strategy: {strategy}")
     W = _level(G, n)
     types = W.types
     rows = []
@@ -180,12 +182,18 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
 
 def module_action_over_sym(f: ClassFunction, x: ClassFunction) -> ClassFunction:
     """Class(S_n) acts on level n through the permutation-part quotient:
-    f . x = (f o quotient) * x."""
+    f . x = (f o quotient) * x.
+
+    f o quotient is f read at the permutation part of each class
+    representative of the level, so no element of the level is laid out.
+    """
     Gn = _wreath_of(x)
-    q = quotient_to_symmetric(Gn)
-    if f.group is not q.cod:
+    Sn = catalog_group(f"S{Gn.n}")
+    if f.group is not Sn:
         raise ValueError(f"expected a class function on S{Gn.n}")
-    return pullback_along(f, q) * x
+    class_of = Sn.classes.class_of_desc
+    return ClassFunction(Gn, [f.values[class_of(r.perm)]
+                              for r in Gn.classes.rep_descs]) * x
 
 
 # ---------------------------------------------------------------------------

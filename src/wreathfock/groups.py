@@ -279,7 +279,7 @@ class FiniteGroup:
     """
 
     def __init__(self, label, elements, mul_desc, *, inv_desc=None,
-                 generators=(), order=None, classes=None, _column_of=None):
+                 generators=(), order=None, _column_of=None):
         # _column_of(s), if given, makes the column of s without native
         # products: direct products and subgroups derive it
         self.label = label
@@ -289,7 +289,7 @@ class FiniteGroup:
         self._order = order if order is not None else (
             len(self._elements) if self._elements is not None else None)
         self._gen_descs = tuple(generators)
-        self._classes = classes
+        self._classes = None
         self._index: dict | None = None
         self._table = None
         self._inverses = None
@@ -346,9 +346,7 @@ class FiniteGroup:
         return self.index_of(self._mul_desc(els[i], els[j]))
 
     def inv(self, i: int) -> int:
-        if self._inverses is None:
-            self._inverses = self._compute_inverses()
-        return self._inverses[i]
+        return self._inverse_array()[i]
 
     def _inverse_array(self):
         if self._inverses is None:
@@ -692,51 +690,32 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
 
 
 class Homomorphism:
-    """Group homomorphism dom -> cod as a total map on element indices.
-
-    Backed by an image list, or by a descriptor-level map whose image list
-    is made only when an element is asked for: the maps out of a wreath
-    level are descriptor maps, so class-level work on the level never lays
-    out its elements.  `class_map` is the map on classes, made once.
+    """Group homomorphism dom -> cod as the list of the images of dom's
+    element indices.  `class_map` is the map on classes, made once.
     `verify()` proves multiplicativity on all pairs by checking the edges
     of the Cayley graph of a generating set of the domain.
     """
 
-    def __init__(self, dom, cod, images=None, *, desc_map=None, label=""):
-        if (images is None) == (desc_map is None):
-            raise ValueError("need exactly one of images/desc_map")
+    def __init__(self, dom, cod, images, *, label=""):
         self.dom = dom
         self.cod = cod
         self.label = label
-        self._images = None if images is None else list(images)
-        self._desc_map = desc_map
-
-    @property
-    def images(self) -> list[int]:
-        if self._images is None:
-            self._images = [self.cod.index_of(self._desc_map(d))
-                            for d in self.dom.elements]
-        return self._images
+        self.images = list(images)
 
     def __call__(self, i: int) -> int:
-        if self._images is not None:
-            return self._images[i]
-        return self.cod.index_of(self._desc_map(self.dom.elements[i]))
+        return self.images[i]
 
     def map_desc(self, desc):
         """Image of a dom descriptor as a cod descriptor."""
-        if self._desc_map is not None:
-            return self._desc_map(desc)
-        return self.cod.elements[self(self.dom.index_of(desc))]
+        return self.cod.elements[self.images[self.dom.index_of(desc)]]
 
     @functools.cached_property
     def class_map(self) -> tuple[int, ...]:
         """The class of cod holding the image of each dom class
         representative, in dom's class order: the map on classes that
         pullback, restriction and induction by fusion read."""
-        cod_classes = self.cod.classes
-        return tuple(cod_classes.class_of_desc(self.map_desc(rd))
-                     for rd in self.dom.classes.rep_descs)
+        cod_class = self.cod.classes.class_of_index
+        return tuple(cod_class(self.images[r]) for r in self.dom.classes.reps)
 
     def verify(self) -> None:
         """Check f(x*y) == f(x)*f(y) for all x, y in the domain.

@@ -24,8 +24,8 @@ from . import ratlinalg
 from .classfun import indicator, pullback_along
 from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit,
                      compose_homs, direct_product, subgroup)
-from .wreath import (WreathElement, _colored_partitions, quotient_to_symmetric,
-                     split_type, wreath_group)
+from .wreath import (WreathElement, WreathGroup, _colored_partitions,
+                     quotient_to_symmetric, split_type, wreath_group)
 
 
 class PullbackGroup(NamedTuple):
@@ -236,28 +236,43 @@ def verify_class_ring_decomposition(pb: PullbackGroup) -> DecompositionReport:
 # wreath specialization: (A x B) wr S_n as a pullback over S_n
 
 
+def _wreath_split(An: WreathGroup, Bn: WreathGroup):
+    """The map ((a, b), s) -> ((a, s), (b, s)) from the descriptors of
+    (A x B) wr S_n to the indices of A_n x B_n, by index arithmetic.
+
+    A part a * |B| + b splits into the digits a and b, so (a, s) has index
+    P(a) * n! + rank(s) in A_n (`wreath.WreathGroup`), likewise (b, s) in
+    B_n, and the pair has index ia * |B_n| + ib (`direct_product`).
+    """
+    nA, nB = An.base.order, Bn.base.order
+    rank = An._slot_rank
+    f = len(rank)                           # n!
+
+    def split(d: WreathElement) -> int:
+        pa = pb = 0
+        for p in d.parts:
+            a, b = divmod(p, nB)
+            pa, pb = pa * nA + a, pb * nB + b
+        r = rank[d.perm.images]
+        return (pa * f + r) * Bn.order + pb * f + r
+
+    return split
+
+
 def semidirect_product_iso(A: FiniteGroup, B: FiniteGroup, n: int):
     """(A x B) wr S_n ~ A_n x_{S_n} B_n via ((a, b), s) -> ((a, s), (b, s)).
 
     Builds the pullback of the two permutation-part quotients and the
-    explicit map, verifies it is a bijective homomorphism, and returns
-    (pb, phi).
+    explicit map (`_wreath_split`), verifies it is a bijective
+    homomorphism, and returns (pb, phi).
     """
     AB = direct_product(A, B)[0]
     W = wreath_group(AB, n)
     An, Bn = wreath_group(A, n), wreath_group(B, n)
     pb = build_pullback(quotient_to_symmetric(An), quotient_to_symmetric(Bn))
-    P = pb.product
-    pairs = AB.elements
-
-    def split(d: WreathElement):
-        aparts = tuple(pairs[p][0] for p in d.parts)
-        bparts = tuple(pairs[p][1] for p in d.parts)
-        ia = An.index_of(WreathElement(aparts, d.perm))
-        ib = Bn.index_of(WreathElement(bparts, d.perm))
-        return P.index_of((ia, ib))
-
-    phi = Homomorphism(W, pb.carrier, desc_map=split, label="wreath split")
+    split, at = _wreath_split(An, Bn), pb.carrier.index_of
+    phi = Homomorphism(W, pb.carrier, [at(split(d)) for d in W.elements],
+                       label="wreath split")
     phi.verify()
     if not phi.is_injective() or W.order != pb.carrier.order:
         raise AssertionError("wreath split map is not bijective")
@@ -293,13 +308,7 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
     An, Bn = wreath_group(A, n), wreath_group(B, n)
     amb = direct_product(An, Bn)[0]
     pair_index = {p: i for i, p in enumerate(AB.elements)}
-    pairs = AB.elements
-
-    def embed(d: WreathElement) -> tuple:
-        aparts = tuple(pairs[p][0] for p in d.parts)
-        bparts = tuple(pairs[p][1] for p in d.parts)
-        return (An.index_of(WreathElement(aparts, d.perm)),
-                Bn.index_of(WreathElement(bparts, d.perm)))
+    split = _wreath_split(An, Bn)
 
     def joint(desc: tuple) -> WreathElement | None:
         xa, xb = An.elements[desc[0]], Bn.elements[desc[1]]
@@ -315,7 +324,7 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
                 and t.entries[0][2] == 1):
             continue
         closed = True
-        for y in orbit_of(amb.index_of(embed(W.classes.rep_descs[idx]))):
+        for y in orbit_of(split(W.classes.rep_descs[idx])):
             w = joint(amb.elements[y])
             if w is not None and W.classes.class_of_desc(w) != idx:
                 closed = False

@@ -429,6 +429,10 @@ def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
     """The injective homomorphism G_n x G_m -> G_{n+m} acting on the first n
     and last m letters; its domain is the direct product group.
 
+    The images are index arithmetic on the levels' index P(g) * n! + rank(s)
+    (`WreathGroup`): ((g, s), (h, t)) goes to (g h, s + t), the parts side
+    by side and t shifted past the first n letters, whose index is
+    (P(g) |G|^m + P(h)) (n+m)! + rank(s + t), one rank per pair (s, t).
     Cached per (n, m) on G, next to its wreath levels; the product's maps
     are verified once, when it is built.  Like `wreath_group`, a cache hit
     re-checks the element cap on the product and on G_{n+m}.
@@ -439,14 +443,16 @@ def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
         Gn, Gm = wreath_group(G, n), wreath_group(G, m)
         amb = wreath_group(G, n + m)
         P = direct_product(Gn, Gm)[0]
-
-        def embed(d) -> WreathElement:
-            x = Gn.elements[d[0]]
-            y = Gm.elements[d[1]]
-            images = tuple(x.perm.images) + tuple(n + j for j in y.perm.images)
-            return WreathElement(x.parts + y.parts, Permutation(images))
-
-        emb = cache[(n, m)] = Homomorphism(P, amb, desc_map=embed,
+        rank = amb._slot_rank
+        ranks = [[rank[s + tuple(n + j for j in t)] for t in Gm._slot_perms]
+                 for s in Gn._slot_perms]
+        N = math.factorial(n + m)
+        high = G.order ** m * N
+        # dom index (P(g) n! + rank(s)) |G_m| + P(h) m! + rank(t), in order
+        images = [pg * high + ph * N + r
+                  for pg in range(G.order ** n) for row in ranks
+                  for ph in range(G.order ** m) for r in row]
+        emb = cache[(n, m)] = Homomorphism(P, amb, images,
                                            label=f"embed {n}+{m}")
     for H in (emb.dom, emb.cod):
         check_order_cap(H.label, H.order)
@@ -454,9 +460,14 @@ def embed_product(G: FiniteGroup, n: int, m: int) -> Homomorphism:
 
 
 def quotient_to_symmetric(Gn: WreathGroup) -> Homomorphism:
-    """The surjection G wr S_n -> S_n forgetting the base parts."""
+    """The surjection G wr S_n -> S_n forgetting the base parts.
+
+    (g, s) has index P(g) * n! + rank(s), so the images are the S_n indices
+    of the permutations of the slots, in rank order, repeated |G|^n times.
+    """
     Sn = catalog_group(f"S{Gn.n}")
-    return Homomorphism(Gn, Sn, desc_map=lambda d: d.perm,
+    images = [Sn.index_of(Permutation._unchecked(s)) for s in Gn._slot_perms]
+    return Homomorphism(Gn, Sn, images * Gn.base.order ** Gn.n,
                         label="permutation part")
 
 

@@ -387,6 +387,39 @@ def test_level_zero_stays_valid(capsys, argv):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("argv,code,shown", [
+    (["fock", "basis", "C2", "--level", "2"], 2, "above --max-level 1"),
+    (["fock", "product", "C2", "--monomial", "[[1,0,2]]"], 2,
+     "above --max-level 1"),
+    (["fock", "kunneth", "C2", "C3"], 0, "up to level 1:"),
+])
+def test_max_level_is_read_by_the_level_commands(capsys, argv, code, shown):
+    assert main(argv + ["--max-level", "2"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--max-level", "1"]) == code
+    assert shown in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "info", "S3"],
+    ["group", "classes", "S3"],
+    ["wreath", "classes", "C2", "2"],
+    ["wreath", "centralizer", "C2", "2", "--type", "[[1,0,2]]"],
+    ["pullback", "build", "--G", "C2", "--H", "C3"],
+    ["pullback", "check-closed", "--scenario", str(SCENARIOS / "s3xs3.json")],
+    ["pullback", "verify-iso", "--scenario", str(SCENARIOS / "s3xs3.json")],
+    ["fock", "series", "C2"],
+    ["golden"],
+])
+@pytest.mark.parametrize("value", ["2", "-1"])
+def test_max_level_is_refused_where_nothing_reads_it(capsys, argv, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--max-level", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --max-level" in err
+
+
 def test_golden_all_pass(capsys):
     assert main(["golden"]) == 0
     out = capsys.readouterr().out

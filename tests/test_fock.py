@@ -19,7 +19,7 @@ from wreathfock.fock import (FockElement, change_of_basis, delta,
                              module_action_over_sym, monomial_value)
 from wreathfock.groups import ENV_MAX_ORDER, ResourceLimitError, direct_product
 from wreathfock.pullback import n_cycle_classes_closed
-from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
+from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup, _level,
                                classes_by_type, split_type, type_of,
                                wreath_group)
 
@@ -77,6 +77,14 @@ def test_unknown_strategy_rejected(C2):
     f = delta(C2, 1, 0)
     with pytest.raises(ValueError):
         fock_product(f, f, strategy="magic")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_change_of_basis_rejects_an_unknown_strategy_up_front(n):
+    G = catalog_group.__wrapped__("C2")     # fresh: no level built yet
+    with pytest.raises(ValueError, match="^unknown strategy: magic$"):
+        change_of_basis(G, n, strategy="magic")
+    assert "_wreath_levels" not in G.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +148,22 @@ def test_module_action(C2, S3):
         cycle_shape = sorted([r for r, _, m in t.entries for _ in range(m)])
         expect = Fraction(1) if cycle_shape == [1, 2] else Fraction(0)
         assert acted.at_class(k) == expect
+
+
+def test_module_action_stays_class_level(monkeypatch):
+    # C2 wr S4 has 384 elements: above the cap, and none may be laid out
+    G = catalog_group.__wrapped__("C2")     # fresh: no level laid out yet
+    monkeypatch.setenv(ENV_MAX_ORDER, "50")
+    S4 = catalog_group("S4")
+    W = _level(G, 4)
+    shape = {k: sorted(map(len, rep.cycles()))
+             for k, rep in enumerate(S4.classes.rep_descs)}
+    with no_wreath_elements():
+        for k, e in enumerate(indicator_basis(S4)):
+            acted = module_action_over_sym(e, one(W))
+            for c, t in enumerate(W.types):
+                lengths = sorted(r for r, _, m in t.entries for _ in range(m))
+                assert acted.at_class(c) == int(lengths == shape[k])
 
 
 def test_module_action_requires_symmetric_argument(C2):

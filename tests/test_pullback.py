@@ -9,14 +9,15 @@ from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import indicator, pullback_along
 from wreathfock.cli import main
-from wreathfock.groups import (Permutation,
+from wreathfock.groups import (Permutation, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
-from wreathfock.pullback import (build_pullback, fusion_pattern,
+from wreathfock.pullback import (_wreath_split, build_pullback, fusion_pattern,
                                  is_conjugacy_closed, n_cycle_classes_closed,
                                  n_cycle_closed_brute, restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
                                  verify_class_ring_decomposition)
+from wreathfock.wreath import WreathElement, wreath_group
 
 
 def _sign(S3, C2):
@@ -160,6 +161,22 @@ def test_wreath_of_product_splits_as_pullback(a, b, n):
     assert phi.dom.order == pb.order
     assert phi.is_injective() and phi.is_surjective()
     assert pb.order == (A.order * B.order) ** n * [1, 1, 2, 6][n]
+
+
+@pytest.mark.parametrize("a,b,n", [("C2", "C3", 2), ("S3", "C2", 2),
+                                   ("C2", "C2", 3), ("C3", "trivial", 1)])
+def test_wreath_split_is_the_descriptor_split(a, b, n):
+    # the oracle splits each part into its pair and looks both halves up
+    A, B = catalog_group(a), catalog_group(b)
+    AB = direct_product(A, B)[0]
+    An, Bn = wreath_group(A, n), wreath_group(B, n)
+    amb = direct_product(An, Bn)[0]
+    split = _wreath_split(An, Bn)
+    for d in wreath_group(AB, n).elements:
+        halves = [WreathElement(tuple(AB.elements[p][k] for p in d.parts),
+                                d.perm) for k in (0, 1)]
+        assert split(d) == amb.index_of((An.index_of(halves[0]),
+                                         Bn.index_of(halves[1])))
 
 
 def test_n_cycle_classes_closed_matches_brute():

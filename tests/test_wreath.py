@@ -258,12 +258,42 @@ def test_embedding_fuses_types(C2):
 
 @pytest.mark.parametrize("name,n", [("C2", 3), ("S3", 2)])
 def test_class_map_of_descriptor_maps(name, n):
-    G = catalog_group.__wrapped__(name)   # fresh, so no map has images yet
+    G = catalog_group.__wrapped__(name)   # fresh: no level or map cached
     for f in (quotient_to_symmetric(wreath_group(G, n)),
               embed_product(G, 1, n - 1)):
         assert len(f.class_map) == f.dom.classes.num_classes
-        assert f._images is None            # class_map laid out no image
         assert_class_map_reads_every_image(f)
+
+
+def descriptor_embedding(G, n: int, m: int, i: int, j: int) -> WreathElement:
+    """The image of (x, y) in G_n x G_m under the block embedding, built
+    from the descriptors: parts side by side, y's permutation shifted past
+    the first n letters (the oracle for `embed_product`'s index images)."""
+    x, y = wreath_group(G, n).elements[i], wreath_group(G, m).elements[j]
+    images = tuple(x.perm.images) + tuple(n + k for k in y.perm.images)
+    return WreathElement(x.parts + y.parts, Permutation(images))
+
+
+@pytest.mark.parametrize("name,n,m", [
+    *(("C2", n, m) for n in range(5) for m in range(5 - n)),
+    *(("S3", n, m) for n in range(4) for m in range(4 - n)),
+    ("D8", 1, 1)])
+def test_embed_product_images_are_the_descriptor_embedding(name, n, m):
+    G = catalog_group(name)
+    emb = embed_product(G, n, m)
+    amb, Gm = emb.cod, wreath_group(G, m)
+    assert len(emb.images) == emb.dom.order
+    for x, img in enumerate(emb.images):
+        i, j = divmod(x, Gm.order)
+        assert img == amb.index_of(descriptor_embedding(G, n, m, i, j))
+
+
+@pytest.mark.parametrize("name,n", [("C2", 1), ("C2", 3), ("C3", 2),
+                                    ("S3", 2), ("D8", 2)])
+def test_quotient_images_are_the_permutation_parts(name, n):
+    W = wreath_group(catalog_group(name), n)
+    q = quotient_to_symmetric(W)
+    assert q.images == [q.cod.index_of(x.perm) for x in W.elements]
 
 
 def test_embed_product_is_cached_per_base_and_levels():
