@@ -7,10 +7,9 @@ base class) generate freely: monomials in them hit a diagonal, invertible
 change of basis against the class indicators.
 """
 
-from wreathfock import (FockElement, catalog_group, change_of_basis, delta,
-                        fock_product, module_action_over_sym, one, ratlinalg,
-                        wreath_group)
-from wreathfock.classfun import indicator_basis
+from wreathfock import (FockElement, TypeMatrix, catalog_group,
+                        change_of_basis, delta, fock_product, indicator,
+                        module_action_over_sym, one, ratlinalg, wreath_group)
 
 C2 = catalog_group("C2")
 
@@ -26,10 +25,11 @@ for n in (1, 2, 3):
     print(f"level {n}: {len(types)} monomials, "
           f"det = {ratlinalg.det(rows)}")
 
-# the symmetric-group action through the permutation-part quotient
-S3 = catalog_group("S3")
+# the symmetric-group action through the permutation-part quotient, with
+# S3 as the level trivial wr S3: its classes are the partitions of 3
+S3 = wreath_group(catalog_group("trivial"), 3)
 x = one(wreath_group(C2, 3))
-e1 = indicator_basis(S3)[1]
+e1 = indicator(S3, S3.class_index_of_type(TypeMatrix([(1, 0, 1), (2, 0, 1)])))
 acted = module_action_over_sym(e1, x)
 print(f"\ntransposition-indicator acting on 1 at level 3: "
       f"support {acted.support()}")

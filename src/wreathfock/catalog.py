@@ -123,12 +123,25 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
-    try:
-        name = doc["name"]
-        degree = int(doc["degree"])
-        gens = [Permutation(img) for img in doc["generators"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"bad group definition: {e}") from e
+    """The group of a group file.  Raises ValueError naming the key at
+    fault: `name` must be a string, `degree` an integer >= 1 and
+    `generators` a list of image arrays of permutations of `degree` points."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"bad group definition: not a JSON object: {doc!r}")
+    name, degree, images = map(doc.get, ("name", "degree", "generators"))
+    for key, ok, want in (
+            ("name", isinstance(name, str), "a string"),
+            ("degree", type(degree) is int and degree >= 1, "an integer >= 1"),
+            ("generators", isinstance(images, list) and all(
+                isinstance(img, list) and len(img) == degree
+                and all(type(v) is int for v in img)
+                and sorted(img) == list(range(degree)) for img in images),
+             f"a list of image arrays of permutations of {degree} points")):
+        if not ok:
+            got = json.dumps(doc.get(key), default=repr)[:60]
+            raise ValueError(f"bad group definition: {key} must be {want}, "
+                             f"got {got}")
+    gens = [Permutation(img) for img in images]
     return group_from_permutation_generators(degree, gens, label=name)
 
 

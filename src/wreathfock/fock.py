@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .catalog import catalog_group
 from .classfun import ClassFunction, external_product, induce, one, zero
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
@@ -184,16 +183,18 @@ def module_action_over_sym(f: ClassFunction, x: ClassFunction) -> ClassFunction:
     """Class(S_n) acts on level n through the permutation-part quotient:
     f . x = (f o quotient) * x.
 
-    f o quotient is f read at the permutation part of each class
-    representative of the level, so no element of the level is laid out.
+    f lives on S_n as the level trivial wr S_n (`_level`), whose classes
+    are the partitions of n.  f o quotient at a type of level n is f at the
+    partition of its cycle lengths, the type with its colours collapsed, so
+    neither S_n nor the level lays out an element.
     """
-    Gn = _wreath_of(x)
-    Sn = catalog_group(f"S{Gn.n}")
-    if f.group is not Sn:
-        raise ValueError(f"expected a class function on S{Gn.n}")
-    class_of = Sn.classes.class_of_desc
-    return ClassFunction(Gn, [f.values[class_of(r.perm)]
-                              for r in Gn.classes.rep_descs]) * x
+    Gn, Sn = _wreath_of(x), _wreath_of(f)
+    if Sn.base.order != 1 or Sn.n != Gn.n:
+        raise ValueError(f"expected a class function on trivial wr S{Gn.n}")
+    shape = Sn.class_index_of_type
+    return ClassFunction(Gn, [
+        f.values[shape(TypeMatrix([(r, 0, m) for r, _, m in t.entries]))]
+        for t in Gn.types]) * x
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,17 @@ reads the factors' columns at i*|H| + j, a subgroup the ambient column,
 and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
 columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).  Those
 constructions derive their inverse arrays the same way.
+Every walk is a breadth-first queue, a list that grows while it is read.
+The Cayley table, `verify` and the conjugacy classes walk one generating
+set, decided once per group (`FiniteGroup._spanning_generators`): stored
+generators need not generate the group.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
-which builds it for its ambient group before the element sweep.
+which builds it for its ambient group before the element sweep.  Table-less
+`mul` is left to that sweep above the table limit, to `element_order` and
+`conj`, and to `check_group_axioms` through the native products of direct
+products, subgroups and wreath levels.
 """
 
 from __future__ import annotations
@@ -289,6 +296,7 @@ class FiniteGroup:
         self._order = order if order is not None else (
             len(self._elements) if self._elements is not None else None)
         self._gen_descs = tuple(generators)
+        self._spanning = None
         self._classes = None
         self._index: dict | None = None
         self._table = None
@@ -335,6 +343,17 @@ class FiniteGroup:
     @property
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(d) for d in self._gen_descs)
+
+    def _spanning_generators(self) -> list[int]:
+        """A generating set, decided once: the stored generators if they
+        reach every element, else `find_generators`.  `Homomorphism.verify`
+        records the stored ones when its walk reaches every element."""
+        if self._spanning is None:
+            gens = list(self.generator_indices)
+            if len(self._generator_columns(gens)[1]) < self.order - 1:
+                gens = find_generators(self)
+            self._spanning = gens
+        return self._spanning
 
     # -- arithmetic ----------------------------------------------------
 
@@ -404,20 +423,18 @@ class FiniteGroup:
     def cayley_table(self):
         """Flat row-major multiplication table (orders <= 4096 only).
 
-        Starts from the generator columns x*s (`column`, at most |G| native
-        products per generator).  Every other column follows by array
-        lookups along a breadth-first spanning tree of the Cayley graph: the
-        column of w*s is the column of s read at the column of w, as
-        x*(w*s) = (x*w)*s.
+        Starts from the columns x*s of the generators s of
+        `_spanning_generators` (`column`, at most |G| native products per
+        generator).  Every other column follows by array lookups along a
+        breadth-first spanning tree of the Cayley graph: the column of w*s
+        is the column of s read at the column of w, as x*(w*s) = (x*w)*s.
         """
         if self._table is None:
             n = self.order
             if n > TABLE_LIMIT:
                 raise ResourceLimitError(
                     f"no Cayley table above order {TABLE_LIMIT} (|{self.label}| = {n})")
-            cols, tree = self._generator_columns(self.generator_indices)
-            if len(tree) < n - 1:
-                cols, tree = self._generator_columns(find_generators(self))
+            cols, tree = self._generator_columns(self._spanning_generators())
             t = array("i", bytes(4 * n * n))
             t[0::n] = array("i", range(n))
             for w, parent, k in tree:
@@ -433,17 +450,14 @@ class FiniteGroup:
         seen = bytearray(self.order)
         seen[0] = 1
         tree = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for k, col in enumerate(cols):
-                    y = col[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        tree.append((y, x, k))
-                        nxt.append(y)
-            frontier = nxt
+        queue = [0]
+        for x in queue:
+            for k, col in enumerate(cols):
+                y = col[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    tree.append((y, x, k))
+                    queue.append(y)
         return cols, tree
 
     # -- conjugacy -----------------------------------------------------
@@ -479,20 +493,15 @@ def group_from_permutation_generators(degree, generators, label=None):
     ident = Permutation.identity(degree)
     elements = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                y = w * g
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise ResourceLimitError(
-                            f"closure exceeds the element cap {cap}")
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new.append(y)
-        frontier = new
+    for w in elements:
+        for g in gens:
+            y = w * g
+            if y not in index:
+                if len(elements) >= cap:
+                    raise ResourceLimitError(
+                        f"closure exceeds the element cap {cap}")
+                index[y] = len(elements)
+                elements.append(y)
     if label is None:
         label = f"<perm group on {degree} points>"
     return FiniteGroup(label, elements, Permutation.__mul__,
@@ -502,17 +511,16 @@ def group_from_permutation_generators(degree, generators, label=None):
 def conjugation_orbits(G: FiniteGroup, gens=None):
     """Brute-force conjugacy classes: orbit closure under conjugation.
 
-    Conjugating by a generating set reaches the full orbit.  Returns
-    (class_of, rep_descs, sizes) with classes ordered by least member index,
-    so representatives are the least index in each class.
+    Conjugating by a generating set (by default `_spanning_generators`)
+    reaches the full orbit.  Returns (class_of, rep_descs, sizes) with
+    classes ordered by least member index, so representatives are the least
+    index in each class.
     """
-    n = G.order
-    if gens is None:
-        gens = list(G.generator_indices) or find_generators(G)
-    orbit_of = _conjugation_orbit(G, gens)
-    class_of = array("i", [-1] * n)
+    orbit_of = _conjugation_orbit(
+        G, G._spanning_generators() if gens is None else gens)
+    class_of = array("i", [-1] * G.order)
     rep_descs, sizes = [], []
-    for seed in range(n):
+    for seed in range(G.order):
         if class_of[seed] >= 0:
             continue
         k = len(rep_descs)
@@ -601,9 +609,10 @@ def find_generators_on(G: FiniteGroup, idxs: Sequence[int]) -> list[int]:
     This is also the subgroup test.  The closure only multiplies members,
     so a product outside the subset proves it is not closed and raises
     NotASubgroupError; a run that ends has shown idxs = <gens>, a subgroup.
-    The closure grows incrementally: elements closed so far need only the
-    new generator's edges, new elements need every generator's.  Edges are
-    read off the generators' columns.
+    The closure grows incrementally, in one queue of the elements closed so
+    far: those queued before a new generator need only its edges, those
+    queued after it every generator's.  Edges are read off the generators'
+    columns.
     """
     members = set(idxs)
     if 0 not in members:
@@ -611,25 +620,23 @@ def find_generators_on(G: FiniteGroup, idxs: Sequence[int]) -> list[int]:
     gens: list[int] = []
     gcols: list[tuple] = []
     closed = {0}
+    queue = [0]
     for p, a in enumerate(idxs):
         if a in closed:
             continue
         gens.append(p)
         gcols.append((a, G.column(a)))
-        frontier, step = list(closed), gcols[-1:]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, col in step:
-                    y = col[x]
-                    if y not in closed:
-                        if y not in members:
-                            raise NotASubgroupError(
-                                f"not a subgroup: product of {x} and {g} escapes")
-                        closed.add(y)
-                        nxt.append(y)
-            frontier, step = nxt, gcols
-        if len(closed) == len(members):
+        old = len(queue)
+        for i, x in enumerate(queue):
+            for g, col in gcols[-1:] if i < old else gcols:
+                y = col[x]
+                if y not in closed:
+                    if y not in members:
+                        raise NotASubgroupError(
+                            f"not a subgroup: product of {x} and {g} escapes")
+                    closed.add(y)
+                    queue.append(y)
+        if len(queue) == len(members):
             break
     return gens
 
@@ -727,30 +734,31 @@ class Homomorphism:
         length of w, and every element is such a word.  Reads x*s off the
         column of s in dom and f(x)*f(s) off the column of f(s) in cod:
         2 * |dom| * |S| lookups, no product once those columns exist, and
-        no Cayley table.
+        no Cayley table.  S is dom's `_spanning_generators` once they are
+        decided, else its stored generators: a walk on those that reaches
+        every element decides them, one that does not walks again on
+        `_spanning_generators`.
         """
         dom, cod = self.dom, self.cod
         f = self.images
         if f[0] != 0:
             raise NotAHomomorphismError("not a homomorphism: identity moves")
-        gens = dom.generator_indices
+        gens = dom._spanning or list(dom.generator_indices)
         img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
         if -1 in img:
-            gens = find_generators(dom)
+            gens = dom._spanning_generators()
             img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
+        dom._spanning = gens
         if img != f:
             x = next(x for x, (a, b) in enumerate(zip(img, f)) if a != b)
             raise NotAHomomorphismError(
                 f"not a homomorphism: fails at element {x}")
 
-    def image_set(self) -> set[int]:
-        return set(self.images)
-
     def is_surjective(self) -> bool:
-        return len(self.image_set()) == self.cod.order
+        return len(set(self.images)) == self.cod.order
 
     def is_injective(self) -> bool:
-        return len(self.image_set()) == self.dom.order
+        return len(set(self.images)) == self.dom.order
 
     def kernel(self) -> list[int]:
         return [i for i, fi in enumerate(self.images) if fi == 0]
@@ -803,22 +811,19 @@ def _extend_along_edges(dom, gens, cod, gen_images) -> list[int]:
     img[0] = 0
     edges = [(s, dom.column(s), cod.column(fs))
              for s, fs in zip(gens, gen_images)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = img[x]
-            for s, col, fcol in edges:
-                y = col[x]
-                fy = fcol[fx]
-                if img[y] < 0:
-                    img[y] = fy
-                    nxt.append(y)
-                elif img[y] != fy:
-                    raise NotAHomomorphismError(
-                        "not a homomorphism: inconsistent generator images "
-                        f"at edge ({x}, {s})")
-        frontier = nxt
+    queue = [0]
+    for x in queue:
+        fx = img[x]
+        for s, col, fcol in edges:
+            y = col[x]
+            fy = fcol[fx]
+            if img[y] < 0:
+                img[y] = fy
+                queue.append(y)
+            elif img[y] != fy:
+                raise NotAHomomorphismError(
+                    "not a homomorphism: inconsistent generator images "
+                    f"at edge ({x}, {s})")
     return img
 
 

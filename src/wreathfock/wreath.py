@@ -110,10 +110,11 @@ class TypeMatrix:
 
 
 def cycle_product(G: FiniteGroup, x: WreathElement, cycle) -> int:
-    """g_{i_r} * g_{i_{r-1}} * ... * g_{i_1} for a cycle (i_1, ..., i_r)."""
+    """g_{i_r} * g_{i_{r-1}} * ... * g_{i_1} for a cycle (i_1, ..., i_r),
+    each step read off the cached column of the running product."""
     acc = 0
     for i in cycle:
-        acc = G.mul(x.parts[i], acc)
+        acc = G.column(acc)[x.parts[i]]
     return acc
 
 

@@ -466,6 +466,22 @@ def test_group_needs_exactly_one_source(capsys, tmp_path):
     assert main(["group", "info", "S3", "--file", str(p)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("degree", -3), ("degree", 0), ("degree", True), ("degree", 2.7),
+    ("degree", "2"), ("name", 5), ("generators", [[True, False]]),
+])
+def test_malformed_group_file_is_refused_by_key(tmp_path, capsys, key, value):
+    doc = {"name": "C2", "degree": 2, "generators": [[1, 0]]}
+    doc[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["group", "info", "--file", str(p), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"bad group definition: {key} must be" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # whole-process behaviour: exit codes, determinism, env vars
 

@@ -1,4 +1,7 @@
 import contextlib
+import functools
+import inspect
+import io
 import math
 import re
 from collections import Counter
@@ -10,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_groups import perm_groups
-from wreathfock import ratlinalg
+from wreathfock import catalog, fock, ratlinalg
 from wreathfock.catalog import catalog_group
-from wreathfock.classfun import ClassFunction, indicator_basis, one
+from wreathfock.cli import main
+from wreathfock.classfun import (ClassFunction, indicator,
+                                indicator_basis, one)
 from wreathfock.fock import (FockElement, change_of_basis, delta,
                              fock_product, graded_dimension_series,
                              kunneth_generator_identity,
@@ -20,8 +25,8 @@ from wreathfock.fock import (FockElement, change_of_basis, delta,
 from wreathfock.groups import ENV_MAX_ORDER, ResourceLimitError, direct_product
 from wreathfock.pullback import n_cycle_classes_closed
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup, _level,
-                               classes_by_type, split_type, type_of,
-                               wreath_group)
+                               centralizer_order, classes_by_type, split_type,
+                               type_of, wreath_group)
 
 # ---------------------------------------------------------------------------
 # the fusion product
@@ -135,18 +140,28 @@ def test_change_of_basis_strategies_agree(C2):
 # symmetric-group action and the Kunneth identity
 
 
-def test_module_action(C2, S3):
+def sym_level(n: int):
+    """S_n as the level trivial wr S_n: its classes are the partitions of n."""
+    return _level(catalog_group("trivial"), n)
+
+
+def cycle_shape(t: TypeMatrix) -> list[int]:
+    return sorted(r for r, _, m in t.entries for _ in range(m))
+
+
+def test_module_action(C2):
     W = wreath_group(C2, 3)
     x = one(W)
+    S3 = sym_level(3)
     f = one(S3)
     assert module_action_over_sym(f, x) == x
-    e1 = indicator_basis(S3)[1]
+    e1 = indicator(S3, S3.class_index_of_type(TypeMatrix([(1, 0, 1),
+                                                          (2, 0, 1)])))
     acted = module_action_over_sym(e1, x)
     # supported exactly on classes whose permutation part is a transposition
     q_types = [t for t, _ in classes_by_type(C2, 3)]
     for k, t in enumerate(q_types):
-        cycle_shape = sorted([r for r, _, m in t.entries for _ in range(m)])
-        expect = Fraction(1) if cycle_shape == [1, 2] else Fraction(0)
+        expect = Fraction(1) if cycle_shape(t) == [1, 2] else Fraction(0)
         assert acted.at_class(k) == expect
 
 
@@ -154,22 +169,79 @@ def test_module_action_stays_class_level(monkeypatch):
     # C2 wr S4 has 384 elements: above the cap, and none may be laid out
     G = catalog_group.__wrapped__("C2")     # fresh: no level laid out yet
     monkeypatch.setenv(ENV_MAX_ORDER, "50")
-    S4 = catalog_group("S4")
+    S4 = sym_level(4)
     W = _level(G, 4)
-    shape = {k: sorted(map(len, rep.cycles()))
-             for k, rep in enumerate(S4.classes.rep_descs)}
+    shape = {k: cycle_shape(t) for k, t in enumerate(S4.types)}
     with no_wreath_elements():
         for k, e in enumerate(indicator_basis(S4)):
             acted = module_action_over_sym(e, one(W))
             for c, t in enumerate(W.types):
-                lengths = sorted(r for r, _, m in t.entries for _ in range(m))
-                assert acted.at_class(c) == int(lengths == shape[k])
+                assert acted.at_class(c) == int(cycle_shape(t) == shape[k])
 
 
 def test_module_action_requires_symmetric_argument(C2):
     W = wreath_group(C2, 2)
     with pytest.raises(ValueError):
         module_action_over_sym(one(W), one(W))
+    with pytest.raises(ValueError):
+        module_action_over_sym(one(sym_level(3)), one(W))
+
+
+def action_through_catalog_sym(g: ClassFunction, x: ClassFunction):
+    """The oracle: g on catalog_group("S{n}"), read at the permutation of
+    each class representative of x's level, times x."""
+    W = x.group
+    class_of = catalog_group(f"S{W.n}").classes.class_of_desc
+    return ClassFunction(W, [g.values[class_of(r.perm)]
+                             for r in W.classes.rep_descs]) * x
+
+
+def by_cycle_shape(g: ClassFunction, n: int) -> ClassFunction:
+    """g on catalog S_n carried to trivial wr S_n by cycle shape."""
+    S = sym_level(n)
+    class_of = g.group.classes.class_of_desc
+    return ClassFunction(S, [g.values[class_of(r.perm)]
+                             for r in S.classes.rep_descs])
+
+
+def assert_action_is_the_catalog_route(G, n: int, x_values, g_values):
+    W = _level(G, n)
+    x = ClassFunction(W, x_values)
+    g = ClassFunction(catalog_group(f"S{n}"), g_values)
+    assert module_action_over_sym(by_cycle_shape(g, n), x) == \
+        action_through_catalog_sym(g, x)
+
+
+@pytest.mark.parametrize("name", ["trivial", "C2", "C3", "S3"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_module_action_is_the_catalog_sym_route(name, n):
+    G = catalog_group(name)
+    k = _level(G, n).classes.num_classes
+    x_values = [i + 1 for i in range(k)]
+    for e in indicator_basis(catalog_group(f"S{n}")):
+        assert_action_is_the_catalog_route(G, n, x_values, e.values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=3), st.integers(1, 5), st.data())
+def test_module_action_is_the_catalog_sym_route_on_random_bases(G, n, data):
+    def values(k):
+        return data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+
+    assert_action_is_the_catalog_route(
+        G, n, values(_level(G, n).classes.num_classes),
+        values(catalog_group(f"S{n}").classes.num_classes))
+
+
+def test_module_action_at_level_12_runs_under_a_cap_of_50(monkeypatch):
+    monkeypatch.setenv(ENV_MAX_ORDER, "50")
+    G = catalog_group.__wrapped__("C2")     # fresh: no level laid out yet
+    S12, W = sym_level(12), _level(G, 12)
+    cycle = S12.class_index_of_type(TypeMatrix.single(12, 0))
+    with no_wreath_elements():
+        acted = module_action_over_sym(indicator(S12, cycle), one(W))
+    assert acted.support() == [W.class_index_of_type(TypeMatrix.single(12, c))
+                               for c in (0, 1)]
 
 
 def split_rep(P, side: int, x: WreathElement) -> WreathElement:
@@ -508,3 +580,62 @@ def test_class_level_fock_work_runs_above_the_element_cap(monkeypatch):
         square = x * x
         assert set(square.levels) == {2, 3, 4} & set(range(top + 1))
         assert square.level(2) == fock_product(delta(G, 1, 0), delta(G, 1, 0))
+
+
+def cli_output(*argv):
+    """A CLI command as a class-level call: its stdout."""
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+    return run
+
+
+# Every public class-level function, and the CLI commands made of them.  A
+# new class-level function joins this list.  Each entry looks its groups up
+# when called, so under the patch below it reads a fresh catalog.
+C = catalog_group
+CLASS_LEVEL = {
+    "monomial_value": lambda: monomial_value(
+        C("C2"), TypeMatrix([(1, 0, 2), (2, 1, 2)])).values,
+    "fock_product": lambda: fock_product(delta(C("S3"), 2, 1),
+                                         delta(C("S3"), 3, 2)).values,
+    "delta": lambda: delta(C("C3"), 5, 2).values,
+    "change_of_basis": lambda: change_of_basis(C("C2"), 5),
+    "classes_by_type": lambda: [(t, r.parts, r.perm)
+                                for t, r in classes_by_type(C("C3"), 4)],
+    "centralizer_order": lambda: [centralizer_order(C("S3"), t)
+                                  for t in _level(C("S3"), 5).types],
+    "n_cycle_classes_closed": lambda: n_cycle_classes_closed(
+        C("S3"), C("C2"), 5),
+    "kunneth_generator_identity": lambda: [
+        kunneth_generator_identity(C("C2"), C("C3"), 5, c, d)
+        for c in range(2) for d in range(3)],
+    "graded_dimension_series": lambda: graded_dimension_series(C("S3"), 8),
+    "module_action_over_sym": lambda: module_action_over_sym(
+        indicator(sym_level(6), 3), one(_level(C("C2"), 6))).values,
+    "wreath classes": cli_output("wreath", "classes", "C2", "6"),
+    "fock basis": cli_output("fock", "basis", "C2", "--level", "6",
+                             "--max-level", "6"),
+    "fock product": cli_output("fock", "product", "S3", "--monomial",
+                               "[[1,0,2],[2,1,1]]"),
+    "fock kunneth": cli_output("fock", "kunneth", "C2", "C3",
+                               "--max-level", "3"),
+}
+
+
+def test_class_level_inventory_lays_out_no_wreath_element(monkeypatch):
+    public = {name for name, f in vars(fock).items()
+              if inspect.isfunction(f) and f.__module__ == fock.__name__
+              and not name.startswith("_")}
+    assert public <= set(CLASS_LEVEL)
+    expected = {name: run() for name, run in CLASS_LEVEL.items()}
+    # a fresh catalog, so no level was laid out before the patch; every
+    # level used is above the cap
+    monkeypatch.setattr(catalog, "_build_catalog_group", functools.cache(
+        catalog._build_catalog_group.__wrapped__))
+    monkeypatch.setenv(ENV_MAX_ORDER, "50")
+    with no_wreath_elements():
+        for name, run in CLASS_LEVEL.items():
+            assert run() == expected[name], name

@@ -558,6 +558,25 @@ def test_conjugation_orbits_are_the_conjugacy_classes(G, H, data):
 
 
 @walk_settings
+@given(perm_groups())
+def test_classes_do_not_depend_on_the_stored_generators(G):
+    # one stored generator need not generate G; the classes are G's anyway
+    H = with_generators(G, G.generator_indices[:1])
+    assert H.classes.sizes == G.classes.sizes
+    assert list(H.classes.class_of) == list(G.classes.class_of)
+
+
+def test_s3_stored_with_one_transposition_has_three_classes(S3):
+    t = S3.index_of(Permutation.from_cycles(3, [(0, 1)]))
+    H = with_generators(S3, [t])
+    assert sorted(H.classes.sizes) == [1, 2, 3]
+    # the Cayley table and verify walk the same generating set
+    assert H._spanning_generators() == groups.find_generators(H)
+    Homomorphism(H, S3, range(6)).verify()
+    assert list(H.cayley_table()) == list(S3.cayley_table())
+
+
+@walk_settings
 @given(perm_groups(), st.data())
 def test_centralizer_is_the_commuting_set(G, data):
     table = native_table(G)
