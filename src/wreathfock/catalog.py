@@ -21,9 +21,10 @@ from .groups import (FiniteGroup, Homomorphism, Permutation, check_order_cap,
                      group_from_permutation_generators,
                      hom_from_generator_images, max_order_cap)
 
-_CYCLIC = re.compile(r"^C(\d+)$")
-_SYMMETRIC = re.compile(r"^S(\d+)$")
-_DIHEDRAL = re.compile(r"^D(\d+)$")
+# matched whole: "C3\n" or "C\u0663" is not a catalog name
+_CYCLIC = re.compile(r"C([0-9]+)")
+_SYMMETRIC = re.compile(r"S([0-9]+)")
+_DIHEDRAL = re.compile(r"D([0-9]+)")
 
 
 def catalog_group(name: str) -> FiniteGroup:
@@ -44,14 +45,14 @@ def _build_catalog_group(name: str) -> FiniteGroup:
         return group_from_permutation_generators(1, [], label="trivial")
     if name == "Dic3":
         return _dic3()
-    m = _CYCLIC.match(name)
+    m = _CYCLIC.fullmatch(name)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise ValueError(f"bad cyclic order: {name}")
         gens = [] if n == 1 else [Permutation.from_cycles(n, [tuple(range(n))])]
         return group_from_permutation_generators(n, gens, label=name)
-    m = _SYMMETRIC.match(name)
+    m = _SYMMETRIC.fullmatch(name)
     if m:
         n = int(m.group(1))
         if n < 1:
@@ -64,7 +65,7 @@ def _build_catalog_group(name: str) -> FiniteGroup:
             gens = [Permutation.from_cycles(n, [(0, 1)]),
                     Permutation.from_cycles(n, [tuple(range(n))])]
         return group_from_permutation_generators(n, gens, label=name)
-    m = _DIHEDRAL.match(name)
+    m = _DIHEDRAL.fullmatch(name)
     if m:
         order = int(m.group(1))
         if order % 2 or order < 6:
@@ -150,19 +151,18 @@ def load_group_file(path) -> FiniteGroup:
         return group_from_json(json.load(fh))
 
 
-def resolve_group(spec, registry: dict | None = None) -> FiniteGroup:
-    """Group from a catalog name, a registry key, an inline definition dict,
-    or a {"file": path} reference."""
+def resolve_group(spec) -> FiniteGroup:
+    """Group from a catalog name, an inline definition dict, or a
+    {"file": path} reference.  The path must be a string: open() would take
+    an int or a bool as a file descriptor of the running process."""
     if isinstance(spec, FiniteGroup):
         return spec
     if isinstance(spec, str):
-        if registry and spec in registry:
-            return registry[spec]
         return catalog_group(spec)
-    if isinstance(spec, dict):
-        if "file" in spec:
-            return load_group_file(spec["file"])
+    if isinstance(spec, dict) and "file" not in spec:
         return group_from_json(spec)
+    if isinstance(spec, dict) and isinstance(spec["file"], str):
+        return load_group_file(spec["file"])
     raise ValueError(f"cannot interpret group reference: {spec!r}")
 
 
@@ -171,15 +171,14 @@ def resolve_group(spec, registry: dict | None = None) -> FiniteGroup:
 
 
 def _image_index(cod: FiniteGroup, entry) -> int:
-    if isinstance(entry, list):
+    if isinstance(entry, list) and all(type(v) is int for v in entry):
         return cod.index_of(Permutation(entry))
     if isinstance(entry, int):
         return entry
     raise ValueError(f"bad generator image: {entry!r}")
 
 
-def hom_from_json(doc: dict, registry: dict | None = None,
-                  dom: FiniteGroup | None = None,
+def hom_from_json(doc: dict, dom: FiniteGroup | None = None,
                   cod: FiniteGroup | None = None) -> Homomorphism:
     """Homomorphism from generator images on the domain's stored generators.
 
@@ -190,8 +189,8 @@ def hom_from_json(doc: dict, registry: dict | None = None,
     if not isinstance(doc, dict):
         raise ValueError("a homomorphism is a JSON object with "
                          f"generator_images, got {json.dumps(doc)[:60]}")
-    dom = dom if dom is not None else resolve_group(doc["from"], registry)
-    cod = cod if cod is not None else resolve_group(doc["to"], registry)
+    dom = dom if dom is not None else resolve_group(doc["from"])
+    cod = cod if cod is not None else resolve_group(doc["to"])
     entries = doc.get("generator_images")
     if not isinstance(entries, list):
         raise ValueError("generator_images must be a list of images, "
@@ -206,6 +205,6 @@ def hom_from_json(doc: dict, registry: dict | None = None,
                                      label=doc.get("label", ""))
 
 
-def load_hom_file(path, registry=None, dom=None, cod=None) -> Homomorphism:
+def load_hom_file(path, dom=None, cod=None) -> Homomorphism:
     with open(path) as fh:
-        return hom_from_json(json.load(fh), registry, dom, cod)
+        return hom_from_json(json.load(fh), dom, cod)

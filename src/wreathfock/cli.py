@@ -18,7 +18,7 @@ from .catalog import (catalog_group, is_catalog_name, load_group_file,
                       load_hom_file, hom_from_json, resolve_group)
 from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
-from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, FiniteGroup,
+from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
 from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
                        n_cycle_classes_closed, verify_class_ring_decomposition)
@@ -188,13 +188,15 @@ def _trivial_hom(G: FiniteGroup, K: FiniteGroup) -> Homomorphism:
 
 
 def _message(e: Exception) -> str:
-    """An exception's message; a KeyError's without the quotes that str()
-    puts around it."""
-    return str(e.args[0]) if isinstance(e, KeyError) and e.args else str(e)
+    """An exception's message on one line: a KeyError's without the quotes
+    that str() puts around it, and each unprintable character (a newline in
+    an echoed name) escaped."""
+    text = str(e.args[0]) if isinstance(e, KeyError) and e.args else str(e)
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _load_scenario_file(path):
-    """(G, H, K, alpha, beta) from a scenario file.  A malformed file is a
+    """(alpha, beta) from a scenario file.  A malformed file is a
     ValueError naming the file and, where one is at fault, the key."""
     with open(path) as fh:
         try:
@@ -220,37 +222,38 @@ def _load_scenario_file(path):
              if doc.get("alpha") else _trivial_hom(G, K))
     beta = (part("beta", lambda doc: hom_from_json(doc, dom=H, cod=K))
             if doc.get("beta") else _trivial_hom(H, K))
-    return G, H, K, alpha, beta
+    return alpha, beta
 
 
 def _load_scenario(args):
+    """The PullbackGroup named by --scenario, or by --G/--H/--K with the maps
+    --alpha/--beta (each implied when K is trivial)."""
     if args.scenario:
-        return _load_scenario_file(args.scenario)
-    if not (args.G and args.H and args.K):
+        alpha, beta = _load_scenario_file(args.scenario)
+    elif not (args.G and args.H and args.K):
         raise ValueError("need --scenario or all of --G/--H/--K")
-    G, H, K = _load_base(args.G), _load_base(args.H), _load_base(args.K)
-    alpha = (load_hom_file(args.alpha, dom=G, cod=K)
-             if args.alpha else _trivial_hom(G, K))
-    beta = (load_hom_file(args.beta, dom=H, cod=K)
-            if args.beta else _trivial_hom(H, K))
-    return G, H, K, alpha, beta
+    else:
+        G, H, K = _load_base(args.G), _load_base(args.H), _load_base(args.K)
+        alpha = (load_hom_file(args.alpha, dom=G, cod=K)
+                 if args.alpha else _trivial_hom(G, K))
+        beta = (load_hom_file(args.beta, dom=H, cod=K)
+                if args.beta else _trivial_hom(H, K))
+    return build_pullback(alpha, beta)
 
 
 def cmd_pullback_build(args) -> int:
-    G, H, K, alpha, beta = _load_scenario(args)
-    pb = build_pullback(alpha, beta)
-    doc = {"G": G.label, "H": H.label, "K": K.label,
-           "order": pb.order,
+    pb = _load_scenario(args)
+    G, H, K = pb.G.label, pb.H.label, pb.K.label
+    doc = {"G": G, "H": H, "K": K, "order": pb.order,
            "num_classes": pb.carrier.classes.num_classes}
     _emit(args, doc,
-          f"pullback {G.label} x_{K.label} {H.label}: order {pb.order}, "
+          f"pullback {G} x_{K} {H}: order {pb.order}, "
           f"{doc['num_classes']} classes")
     return 0
 
 
 def cmd_pullback_check_closed(args) -> int:
-    _, _, _, alpha, beta = _load_scenario(args)
-    pb = build_pullback(alpha, beta)
+    pb = _load_scenario(args)
     closed, witness = is_conjugacy_closed(pb.incl)
     pat = fusion_pattern(pb.incl)
     doc = {"conj_closed": closed,
@@ -264,12 +267,12 @@ def cmd_pullback_check_closed(args) -> int:
 
 
 def cmd_pullback_verify_iso(args) -> int:
-    G, H, K, alpha, beta = _load_scenario(args)
-    pb = build_pullback(alpha, beta)
+    pb = _load_scenario(args)
     rep = verify_class_ring_decomposition(pb)
-    doc = {"G": G.label, "H": H.label, "K": K.label, "order": pb.order}
+    G, H, K = pb.G.label, pb.H.label, pb.K.label
+    doc = {"G": G, "H": H, "K": K, "order": pb.order}
     doc.update(rep.to_json())
-    lines = [f"pullback {G.label} x_{K.label} {H.label}: order {pb.order}",
+    lines = [f"pullback {G} x_{K} {H}: order {pb.order}",
              f"conjugacy-closed: {rep.conj_closed}",
              f"tensor quotient dim: {rep.quotient_dim}",
              f"restriction map rank: {rep.map_rank} "
@@ -460,7 +463,6 @@ _SIZE_ARGS = {"n": "n", "level": "--level", "max": "--max",
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    saved = os.environ.get(ENV_MAX_ORDER)
     try:
         if args.max_order is not None and args.max_order < 1:
             raise ValueError("--max-order must be a positive integer, "
@@ -469,22 +471,20 @@ def main(argv=None) -> int:
             if getattr(args, dest, 0) < 0:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"got {getattr(args, dest)}")
-        if args.max_order is not None:
-            # a given flag wins over the environment, for this command only
-            os.environ[ENV_MAX_ORDER] = str(args.max_order)
-        max_order_cap()  # a bad WREATHFOCK_MAX_ORDER fails here, by name
-        return args.fn(args)
+        # a given flag wins over the environment, for this command only; a
+        # bad WREATHFOCK_MAX_ORDER fails here, by name
+        token = MAX_ORDER.set(args.max_order if args.max_order is not None
+                              else max_order_cap())
+        try:
+            return args.fn(args)
+        finally:
+            MAX_ORDER.reset(token)
     except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {_message(e)}", file=sys.stderr)
         return 2
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_MAX_ORDER, None)
-        else:
-            os.environ[ENV_MAX_ORDER] = saved
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classfun import ClassFunction, external_product, induce, one, zero
+from .classfun import (ClassFunction, external_product, indicator, induce, one,
+                       zero)
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
 from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
@@ -115,10 +116,7 @@ def delta(G: FiniteGroup, n: int, c: int) -> ClassFunction:
     """Generator at level n colored by base class c: the indicator of the
     class whose permutation part is one n-cycle with cycle product in c."""
     Gn = _level(G, n)
-    idx = Gn.class_index_of_type(TypeMatrix.single(n, c))
-    vals = [Fraction(0)] * Gn.classes.num_classes
-    vals[idx] = Fraction(1)
-    return ClassFunction(Gn, vals)
+    return indicator(Gn, Gn.class_index_of_type(TypeMatrix.single(n, c)))
 
 
 def monomial_value(G: FiniteGroup, mu: TypeMatrix) -> ClassFunction:

@@ -30,6 +30,7 @@ products, subgroups and wreath levels.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 import random
@@ -39,6 +40,10 @@ from typing import Callable, Iterable, Sequence
 DEFAULT_MAX_ORDER = 200_000
 TABLE_LIMIT = 4096
 ENV_MAX_ORDER = "WREATHFOCK_MAX_ORDER"
+
+# The element cap of the running CLI command, set and reset by `cli.main`;
+# None leaves the cap to the environment.
+MAX_ORDER = contextvars.ContextVar("max_order", default=None)
 
 
 class ResourceLimitError(RuntimeError):
@@ -54,12 +59,16 @@ class NotASubgroupError(ValueError):
 
 
 def max_order_cap() -> int:
-    """Element cap for group constructions: DEFAULT_MAX_ORDER, or the
-    value of the WREATHFOCK_MAX_ORDER environment variable.
+    """Element cap for group constructions: the value of `MAX_ORDER` when
+    set, else the WREATHFOCK_MAX_ORDER environment variable, else
+    DEFAULT_MAX_ORDER.
 
     Raises ValueError naming the variable when the env value is not a
     positive integer.
     """
+    cap = MAX_ORDER.get()
+    if cap is not None:
+        return cap
     env = os.environ.get(ENV_MAX_ORDER)
     if not env:
         return DEFAULT_MAX_ORDER
@@ -490,6 +499,10 @@ def group_from_permutation_generators(degree, generators, label=None):
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
     cap = max_order_cap()
+    if degree > cap:
+        # the identity alone holds `degree` points
+        raise ResourceLimitError(
+            f"degree {degree} exceeds the element cap {cap}")
     ident = Permutation.identity(degree)
     elements = [ident]
     index = {ident: 0}

@@ -390,10 +390,8 @@ class WreathGroup(FiniteGroup):
         weighted = [[binv[a] * w for a in range(self.base.order)] for w in place]
 
         def rule(s):
-            sinv = [0] * self.n
-            for i, j in enumerate(s):
-                sinv[j] = i
-            return [weighted[j] for j in sinv], rank[tuple(sinv)]
+            sinv = Permutation._unchecked(s).inverse().images
+            return [weighted[j] for j in sinv], rank[sinv]
 
         return array("i", self._slot_sweep(rule))
 

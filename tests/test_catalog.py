@@ -63,11 +63,14 @@ def test_load_group_file(tmp_path, S3):
     assert G.order == 6 and G.label == "S3"
 
 
+@pytest.mark.parametrize("name", ["C3\n", "S3 ", "C\u0663", "D\uff18"])
+def test_catalog_names_are_matched_whole_in_ascii_digits(name):
+    assert not is_catalog_name(name)
+
+
 def test_resolve_group_forms(tmp_path, S3):
     assert resolve_group(S3) is S3
     assert resolve_group("S3") is S3
-    reg = {"mine": S3}
-    assert resolve_group("mine", reg) is S3
     inline = resolve_group(group_to_json(S3))
     assert inline.order == 6
     p = tmp_path / "g.json"

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from wreathfock import catalog, ratlinalg
+from wreathfock import catalog, cli, ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
 from wreathfock.fock import change_of_basis
+from wreathfock.groups import max_order_cap
 from wreathfock.wreath import WreathGroup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,7 +28,7 @@ def run_cli(*args, env=None):
         full_env.update(env)
     proc = subprocess.run([sys.executable, "-m", "wreathfock", *args],
                           capture_output=True, text=True, env=full_env,
-                          cwd=ROOT)
+                          cwd=ROOT, stdin=subprocess.DEVNULL)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -139,8 +140,14 @@ def test_pullback_verify_iso_scenario(capsys):
     ('{"G": "nosuch", "H": "S3", "K": "C2"}',
      "key 'G': unknown catalog group: nosuch"),
     ('{"G": "S3", "H": ', "not valid JSON"),
+    ('{"G": "S3", "H": "S3", "K": "C2",'
+     ' "alpha": {"generator_images": [[0, "a"], 0]}}',
+     "key 'alpha': bad generator image: [0, 'a']"),
+    ('{"G": "C3\\n", "H": "S3", "K": "C2"}',
+     "key 'G': unknown catalog group: C3\\n"),
 ], ids=["top-level-list", "alpha-not-an-object", "no-generator-images",
-        "missing-key", "unknown-group", "not-json"])
+        "missing-key", "unknown-group", "not-json", "image-not-integers",
+        "name-with-a-newline"])
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, content,
                                               shown):
     path = tmp_path / "scenario.json"
@@ -482,8 +489,44 @@ def test_malformed_group_file_is_refused_by_key(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+def test_group_file_degree_is_bounded_by_the_element_cap(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text('{"name":"big","degree":1000000,"generators":[]}')
+    assert main(["group", "info", str(p), "--max-order", "50"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: degree 1000000 exceeds the element cap 50\n"
+
+
+def test_file_reference_leaves_a_descriptor_of_the_caller_open(tmp_path,
+                                                               capsys):
+    r, w = os.pipe()
+    try:
+        os.write(w, b'{"name": "C2", "degree": 2, "generators": [[1, 0]]}')
+        os.close(w)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"G": {"file": r}, "H": "C2", "K": "C2"}))
+        assert main(["pullback", "build", "--scenario", str(path)]) == 2
+        assert f"{{'file': {r}}}" in capsys.readouterr().err
+        assert os.read(r, 8) == b'{"name":'  # open, and nothing read
+    finally:
+        os.close(r)
+
+
 # ---------------------------------------------------------------------------
 # whole-process behaviour: exit codes, determinism, env vars
+
+
+@pytest.mark.parametrize("ref,shown", [("0", "0"), ("1", "1"),
+                                       ("true", "True")])
+def test_file_reference_must_be_a_path_string(tmp_path, ref, shown):
+    # as a file descriptor, 0 would read the group from stdin
+    path = tmp_path / "scenario.json"
+    path.write_text(f'{{"G": {{"file": {ref}}}, "H": "C2", "K": "C2"}}')
+    code, out, err = run_cli("pullback", "build", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: scenario {path}: key 'G': cannot interpret "
+                   f"group reference: {{'file': {shown}}}\n")
 
 
 def test_usage_error_exit_code():
@@ -540,6 +583,25 @@ def test_max_order_flag_does_not_leak_into_the_process(monkeypatch, capsys):
     monkeypatch.setenv("WREATHFOCK_MAX_ORDER", "7000")
     assert main(["group", "info", "S4", "--max-order", "50"]) == 0
     assert os.environ["WREATHFOCK_MAX_ORDER"] == "7000"
+
+
+@pytest.mark.parametrize("env", [None, "7000"])
+def test_max_order_flag_is_scoped_to_the_command(monkeypatch, capsys, env):
+    """The flag caps the running command without writing the environment."""
+    if env is None:
+        monkeypatch.delenv("WREATHFOCK_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("WREATHFOCK_MAX_ORDER", env)
+    seen = []
+
+    def handler(args):
+        seen.append((os.environ.get("WREATHFOCK_MAX_ORDER"), max_order_cap()))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_group_info", handler)
+    assert main(["group", "info", "S4", "--max-order", "50"]) == 0
+    assert seen == [(env, 50)]
+    assert max_order_cap() == (200_000 if env is None else 7000)
 
 
 @pytest.mark.parametrize("cap", ["200000", "200001"])
