@@ -125,13 +125,15 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def group_from_json(doc: dict) -> FiniteGroup:
     """The group of a group file.  Raises ValueError naming the key at
-    fault: `name` must be a string, `degree` an integer >= 1 and
-    `generators` a list of image arrays of permutations of `degree` points."""
+    fault: `name` must be a printable string (it is printed as a label in
+    table output), `degree` an integer >= 1 and `generators` a list of
+    image arrays of permutations of `degree` points."""
     if not isinstance(doc, dict):
         raise ValueError(f"bad group definition: not a JSON object: {doc!r}")
     name, degree, images = map(doc.get, ("name", "degree", "generators"))
     for key, ok, want in (
-            ("name", isinstance(name, str), "a string"),
+            ("name", isinstance(name, str) and name.isprintable(),
+             "a printable string"),
             ("degree", type(degree) is int and degree >= 1, "an integer >= 1"),
             ("generators", isinstance(images, list) and all(
                 isinstance(img, list) and len(img) == degree
@@ -146,9 +148,20 @@ def group_from_json(doc: dict) -> FiniteGroup:
     return group_from_permutation_generators(degree, gens, label=name)
 
 
-def load_group_file(path) -> FiniteGroup:
+def load_json(path):
+    """The JSON document in the file at `path`.  A document nested too
+    deeply for the decoder is a ValueError naming the file, not the
+    decoder's RecursionError."""
     with open(path) as fh:
-        return group_from_json(json.load(fh))
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_group_file(path) -> FiniteGroup:
+    return group_from_json(load_json(path))
 
 
 def resolve_group(spec) -> FiniteGroup:
@@ -206,5 +219,4 @@ def hom_from_json(doc: dict, dom: FiniteGroup | None = None,
 
 
 def load_hom_file(path, dom=None, cod=None) -> Homomorphism:
-    with open(path) as fh:
-        return hom_from_json(json.load(fh), dom, cod)
+    return hom_from_json(load_json(path), dom, cod)

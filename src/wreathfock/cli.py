@@ -15,7 +15,7 @@ import sys
 from collections.abc import Iterator
 
 from .catalog import (catalog_group, is_catalog_name, load_group_file,
-                      load_hom_file, hom_from_json, resolve_group)
+                      load_hom_file, load_json, hom_from_json, resolve_group)
 from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
@@ -71,6 +71,8 @@ def _type_arg(G: FiniteGroup, flag: str, text: str) -> TypeMatrix:
     """
     try:
         entries = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{flag}: JSON nested too deeply to read") from None
     except ValueError:
         entries = None
     if not isinstance(entries, list):
@@ -198,11 +200,10 @@ def _message(e: Exception) -> str:
 def _load_scenario_file(path):
     """(alpha, beta) from a scenario file.  A malformed file is a
     ValueError naming the file and, where one is at fault, the key."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"scenario {path}: not valid JSON: {e}") from None
+    try:
+        doc = load_json(path)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"scenario {path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"scenario {path}: expected a JSON object with "
                          f"keys G, H and K, got {json.dumps(doc)[:60]}")
@@ -218,10 +219,11 @@ def _load_scenario_file(path):
                              f"{_message(e)}") from None
 
     G, H, K = (part(key, resolve_group) for key in ("G", "H", "K"))
+    # only an absent key or null leaves a map implied
     alpha = (part("alpha", lambda doc: hom_from_json(doc, dom=G, cod=K))
-             if doc.get("alpha") else _trivial_hom(G, K))
+             if doc.get("alpha") is not None else _trivial_hom(G, K))
     beta = (part("beta", lambda doc: hom_from_json(doc, dom=H, cod=K))
-            if doc.get("beta") else _trivial_hom(H, K))
+            if doc.get("beta") is not None else _trivial_hom(H, K))
     return alpha, beta
 
 

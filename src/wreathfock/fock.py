@@ -12,10 +12,9 @@ types, so
 with all centralizer orders given by the product formula.  `_fuse` applies
 this rule to weighted supports, the lists of (t, f[t] / |C(t)|) over the
 types where f is nonzero, so a product visits only the pairs of types in
-the two supports and then makes one pass over the ambient classes to lay
-out the dense result.  The literal element-sum induction is kept as the
-``"elements"`` oracle strategy; the two must agree exactly wherever the
-ambient group is enumerable.
+the two supports and reads its values off the fused weights.  The literal
+element-sum induction is kept as the ``"elements"`` oracle strategy; the
+two must agree exactly wherever the ambient group is enumerable.
 
 The distinguished generators are the indicators of single-n-cycle classes;
 monomials in them, one per colored partition of n, form a basis of level n
@@ -24,8 +23,9 @@ change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
 times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
 returns that closed form; `change_of_basis` multiplies the generators out
 and is its oracle.  It runs each chain of generators on weighted supports
-through `_fuse`, with no class function per step, and lays each row out
-once, at level n.
+through `_fuse`, with no class function per step and one fusion step per
+distinct prefix of generators, and keeps each row on its support, as a
+`ratlinalg.SparseRow`, through to the determinant.
 
 Everything here except the ``"elements"`` strategy is class-level work on
 the types of each level, so it is bounded by the level (``--max-level``),
@@ -43,6 +43,7 @@ from .classfun import (ClassFunction, external_product, indicator, induce, one,
                        zero)
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
+from .ratlinalg import SparseRow
 from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
                      class_count_series, embed_product)
 
@@ -77,15 +78,16 @@ def _fuse(fs, gs: list) -> dict:
     return acc
 
 
-def _lay_out(W: WreathGroup, weights: dict) -> list:
-    """The dense values on the classes of W of {type: weight}: each weight
-    times the centralizer order of its type, zero elsewhere."""
+def _row(W: WreathGroup, weights: dict) -> SparseRow:
+    """The values on the classes of W of {type: weight}, on their support:
+    each nonzero weight times the centralizer order of its type."""
     index, order, sizes = W.class_index_of_type, W.order, W.classes.sizes
-    vals = [ZERO] * W.classes.num_classes
+    support = {}
     for t, x in weights.items():
-        k = index(t)
-        vals[k] = order // sizes[k] * x
-    return vals
+        if x:
+            k = index(t)
+            support[k] = order // sizes[k] * x
+    return SparseRow(W.classes.num_classes, support)
 
 
 def fock_product(f: ClassFunction, g: ClassFunction,
@@ -104,7 +106,7 @@ def fock_product(f: ClassFunction, g: ClassFunction,
     base = Gn.base
     amb = _level(base, Gn.n + Gm.n)
     if strategy == "fusion":
-        return ClassFunction(amb, _lay_out(
+        return ClassFunction(amb, _row(
             amb, _fuse(_weighted_support(f), _weighted_support(g))))
     if strategy == "elements":
         emb = embed_product(base, Gn.n, Gm.n)
@@ -137,15 +139,18 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     """Square matrix of generator-monomial values on the classes of
     G wr S_n; rows and columns are both indexed by the colored partitions
     of n in their canonical order.  Invertibility says the monomials are a
-    basis of level n.
+    basis of level n.  Each row is a `ratlinalg.SparseRow`, held on its
+    support and read as the dense row.
 
     Each row multiplies its generators out by the fusion rule, so this
     matrix and its exact determinant are the oracle for the closed forms
-    of `monomial_value` and `fock basis`.  Under ``"fusion"`` a row runs
-    its chain on weighted supports through `_fuse`, starting from the
-    unit's, with each generator's support taken once per call, and is laid
-    out once, at level n.  Under ``"elements"`` every step is a
-    `fock_product` by induced class functions.
+    of `monomial_value` and `fock basis`.  Under ``"fusion"`` a row is the
+    left fold, by `_fuse` on weighted supports, of its generators in entry
+    order onto the unit's support.  The fold of a row is the fold of its
+    generators but the last, fused once more, so each distinct prefix of
+    generators is fused once per call, and each generator's support is
+    taken once.  Under ``"elements"`` every step is a `fock_product` by
+    induced class functions.
 
     Returns (rows, types).
     """
@@ -155,17 +160,20 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     types = W.types
     rows = []
     if strategy == "fusion":
-        unit = dict(_weighted_support(one(_level(G, 0))))
-        supports: dict = {}
+        supports = {(r, c): _weighted_support(delta(G, r, c))
+                    for r in range(1, n + 1)
+                    for c in range(G.classes.num_classes)}
+        # generators (r, c), in entry order -> the fold of their supports
+        folds = {(): dict(_weighted_support(one(_level(G, 0))))}
         for t in types:
-            fs = unit
-            for r, c, m in t.entries:
-                gs = supports.get((r, c))
-                if gs is None:
-                    gs = supports[(r, c)] = _weighted_support(delta(G, r, c))
-                for _ in range(m):
-                    fs = _fuse(fs.items(), gs)
-            rows.append(_lay_out(W, fs))
+            gens = tuple((r, c) for r, c, m in t.entries for _ in range(m))
+            i = len(gens)
+            while gens[:i] not in folds:
+                i -= 1
+            fs = folds[gens[:i]]
+            for i in range(i, len(gens)):
+                fs = folds[gens[:i + 1]] = _fuse(fs.items(), supports[gens[i]])
+            rows.append(_row(W, fs))
         return rows, types
     for t in types:
         f = one(_level(G, 0))
@@ -173,7 +181,7 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
             d = delta(G, r, c)
             for _ in range(m):
                 f = fock_product(f, d, strategy=strategy)
-        rows.append(list(f.values))
+        rows.append(SparseRow.of(f.values))
     return rows, types
 
 

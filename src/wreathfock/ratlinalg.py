@@ -1,15 +1,19 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are lists of rows of Fractions.  Pivot choice is deterministic:
-columns left to right, first row with a nonzero entry.  `det` eliminates
-on sparse rows ({column: nonzero entry}) under the same pivot rule, so its
-cost follows the nonzero entries rather than the cells.
+Matrices are lists of rows of Fractions: dense sequences, or `SparseRow`s,
+which hold only their nonzero entries and read as the dense rows.  Pivot
+choice is deterministic: columns left to right, first row with a nonzero
+entry.  `det` eliminates on sparse rows ({column: nonzero entry}) under the
+same pivot rule, so its cost follows the nonzero entries rather than the
+cells.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
+from operator import index
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -96,38 +100,102 @@ def _sparse_row(row) -> dict:
     return out
 
 
+class SparseRow(Sequence):
+    """A row of `width` entries held on its support: `support` is
+    {column: nonzero Fraction}.  It reads as the dense row: len() is the
+    width, row[j] is the entry (ZERO off the support), iteration yields
+    the dense entries, and it equals any sequence with the same entries.
+    It has no item assignment and, like a list, no hash.  Rows share
+    their supports with whoever built them, so `det` copies each one
+    before it eliminates."""
+
+    __slots__ = ("width", "support")
+
+    def __init__(self, width: int, support: dict):
+        self.width = width
+        self.support = support
+
+    @classmethod
+    def of(cls, row) -> "SparseRow":
+        """The dense row `row` on its support."""
+        return cls(len(row), _sparse_row(row))
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __getitem__(self, j: int) -> Fraction:
+        j = index(j)
+        if j < 0:
+            j += self.width
+        if not 0 <= j < self.width:
+            raise IndexError("row index out of range")
+        return self.support.get(j, ZERO)
+
+    def __iter__(self):
+        dense = [ZERO] * self.width
+        for j, x in self.support.items():
+            dense[j] = x
+        return iter(dense)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparseRow):
+            return self.width == other.width and self.support == other.support
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == self.width and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"SparseRow({self.width}, {self.support!r})"
+
+
 def det(rows) -> Fraction:
     """The exact determinant, eliminating on sparse rows.
 
-    Each row is held as {column: nonzero entry}, so the pivot search and
-    the row updates touch only nonzero entries; the pivot rule is the one
-    `rref` uses.
+    Each row is held as {column: nonzero entry}: a `SparseRow`'s support is
+    read as it stands, a dense row is scanned once.  An index from each
+    column to the rows not yet used as pivots that hold it gives the pivot
+    and the rows to update, so the work follows the nonzero entries, and a
+    diagonal matrix costs one step per column.  The pivot rule is the one
+    `rref` uses, on the row positions that its swaps give, which `at` and
+    `pos` track.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("det needs a square matrix")
-    m = [_sparse_row(row) for row in rows]
+    m = [dict(row.support) if isinstance(row, SparseRow) else _sparse_row(row)
+         for row in rows]
+    holders = [set() for _ in range(n)]  # column -> non-pivot rows holding it
+    for i, row in enumerate(m):
+        for j in row:
+            holders[j].add(i)
+    at, pos = list(range(n)), list(range(n))  # row at position, and back
     d = ONE
     for c in range(n):
-        pr = next((i for i in range(c, n) if c in m[i]), None)
-        if pr is None:
+        if not holders[c]:
             return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
+        pr = min(holders[c], key=pos.__getitem__)
+        if pos[pr] != c:  # swap positions c and pos[pr]
+            q = at[c]
+            at[c], at[pos[pr]] = pr, q
+            pos[q], pos[pr] = pos[pr], c
             d = -d
-        pivot = m[c]
-        d *= pivot[c]
-        inv = ONE / pivot[c]
-        for i in range(c + 1, n):
+        pivot = m[pr]
+        for j in pivot:
+            holders[j].discard(pr)
+        p = pivot[c]
+        d *= p
+        for i in holders[c].copy():
             row = m[i]
-            if c in row:
-                f = row[c] * inv
-                for j, b in pivot.items():
-                    x = row.get(j, ZERO) - f * b
-                    if x:
-                        row[j] = x
-                    else:  # b and f are nonzero, so j was in the row
-                        del row[j]
+            f = row[c] / p
+            for j, b in pivot.items():
+                x = row.get(j, ZERO) - f * b
+                if x:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = x
+                else:  # b and f are nonzero, so j was in the row
+                    del row[j]
+                    holders[j].discard(i)
     return d
 
 

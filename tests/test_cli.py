@@ -513,6 +513,67 @@ def test_file_reference_leaves_a_descriptor_of_the_caller_open(tmp_path,
         os.close(r)
 
 
+# 200 000 opening brackets: deeper than the JSON decoder can follow
+DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (["group", "info", "{file}"], "{file}"),
+    (["pullback", "build", "--scenario", "{file}"], "{file}"),
+    (["pullback", "build", "--G", "S3", "--H", "S3", "--K", "C2",
+      "--alpha", "{file}"], "{file}"),
+    (["wreath", "centralizer", "C2", "2", "--type", DEEP], "--type"),
+    (["fock", "product", "C2", "--monomial", DEEP], "--monomial"),
+], ids=["group-file", "scenario-file", "hom-file", "type", "monomial"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, shown):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {shown.replace('{file}', str(path))}: "
+                   "JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [0, []], ids=["zero", "empty-list"])
+def test_a_falsy_scenario_map_is_not_an_implied_map(tmp_path, capsys, key,
+                                                    value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"G": "S3", "H": "S3", "K": "trivial",
+                                key: value}))
+    assert main(["pullback", "build", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: scenario {path}: key {key!r}: a homomorphism is "
+                   f"a JSON object with generator_images, got "
+                   f"{json.dumps(value)}\n")
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_a_null_scenario_map_is_implied(tmp_path, capsys, key):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"G": "S3", "H": "C2", "K": "trivial",
+                                key: None}))
+    assert main(["pullback", "build", "--scenario", str(path),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 12
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\tb", "\x1b[31mred", "a\u2028b"])
+def test_group_name_must_be_printable(tmp_path, capsys, name):
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({"name": name, "degree": 2,
+                             "generators": [[1, 0]]}))
+    assert main(["group", "info", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad group definition: name must be a "
+                          "printable string, got ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # whole-process behaviour: exit codes, determinism, env vars
 

@@ -497,6 +497,15 @@ def assert_basis_is_the_chain(G, n: int):
 
 
 @pytest.mark.parametrize("name,top", sorted(BASIS_TOPS.items()))
+def test_change_of_basis_rows_hold_one_column_each(name, top):
+    rows, types = change_of_basis(catalog_group(name), top)
+    assert all(isinstance(row, ratlinalg.SparseRow)
+               and len(row) == len(types) for row in rows)
+    assert [list(row.support) for row in rows] == [[i] for i in
+                                                   range(len(types))]
+
+
+@pytest.mark.parametrize("name,top", sorted(BASIS_TOPS.items()))
 def test_change_of_basis_is_the_product_chain(name, top):
     G = catalog_group.__wrapped__(name)     # fresh: no level laid out yet
     with no_wreath_elements():

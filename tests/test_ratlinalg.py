@@ -2,11 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreathfock.ratlinalg import (det, inverse, kernel_basis, rank, rref,
-                                  solve, span_select)
+from wreathfock.ratlinalg import (ZERO, SparseRow, det, inverse, kernel_basis,
+                                  rank, rref, solve, span_select)
 
 F = Fraction
 
@@ -202,3 +202,65 @@ def test_det_is_the_permutation_sum(m):
     d = det(m)
     assert isinstance(d, Fraction)
     assert d == leibniz(m)
+
+
+# `SparseRow`: a row on its support that reads as the dense row.
+
+
+def test_sparse_row_reads_as_the_dense_row():
+    dense = [F(0), F(3), F(0), F(-1, 2)]
+    row = SparseRow(4, {1: F(3), 3: F(-1, 2)})
+    assert len(row) == 4
+    assert [row[j] for j in range(4)] == dense
+    assert [row[j] for j in range(-4, 0)] == dense
+    assert row[2] is ZERO
+    for j in (4, -5):
+        with pytest.raises(IndexError):
+            row[j]
+    assert list(row) == dense and all(type(x) is Fraction for x in row)
+    assert row == dense and dense == row
+    assert row == tuple(dense) and tuple(dense) == row
+    assert row == [0, 3, 0, F(-1, 2)]
+    assert row == SparseRow.of(dense) and SparseRow.of(dense).support == {
+        1: F(3), 3: F(-1, 2)}
+    for other in (dense[:3], dense + [F(0)], [F(0), F(3), F(1), F(-1, 2)],
+                  SparseRow(5, row.support), "abcd", 7):
+        assert row != other and other != row
+    with pytest.raises(TypeError):
+        row[0] = F(1)
+    with pytest.raises(TypeError):
+        hash(row)
+
+
+def test_det_rejects_sparse_rows_of_the_wrong_width():
+    for bad in ([SparseRow(2, {0: F(1)})],
+                [SparseRow(2, {0: F(1)}), SparseRow(3, {1: F(1)})]):
+        with pytest.raises(ValueError, match="square"):
+            det(bad)
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    """Square matrices with about half their entries zero and their rows
+    shuffled, so elimination swaps rows and fills in entries; some are
+    singular."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0), entry)
+    m = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    return [m[i] for i in draw(st.permutations(range(n)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_square_matrices())
+# a swap at column 0, then fill-in at (2, 2): det 13
+@example([[0, 1, 1], [1, 0, 5], [2, 3, 0]])
+# singular: the third row is the sum of the first two
+@example([[1, 0, 2], [0, 3, 0], [1, 3, 2]])
+def test_det_on_sparse_rows_is_det_on_dense_rows(m):
+    rows = [SparseRow.of(row) for row in m]
+    supports = [dict(row.support) for row in rows]
+    assert rows == m
+    d = det(rows)
+    assert isinstance(d, Fraction)
+    assert d == det(m) == leibniz(m)
+    assert [row.support for row in rows] == supports  # det copies
