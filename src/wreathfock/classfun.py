@@ -165,6 +165,50 @@ def restrict(f: ClassFunction, incl: Homomorphism) -> ClassFunction:
     return pullback_along(f, incl)
 
 
+def _conjugate_counts(incl: Homomorphism) -> list:
+    """For an injective H -> G, per H-class j, the pairs (a, c) with c > 0
+    the number of r in G such that r^-1 y r lies in j, y the a-th class
+    representative of G.  Swept once per inclusion and kept on it, like
+    its `class_map`; a map that is not injective raises on every call.
+
+    r^-1 y is the column of y read at r^-1; up to order TABLE_LIMIT,
+    (r^-1 y) r is read off the Cayley table, built first, and above it is
+    one `G.mul`.  The sweep reads no class map of G.
+    """
+    counts = incl.__dict__.get("_conjugate_counts")
+    if counts is not None:
+        return counts
+    if not incl.is_injective():
+        raise ValueError("induction needs an injective homomorphism")
+    H, G = incl.dom, incl.cod
+    n = G.order
+    # the H-class of every element of G, -1 off the image of incl
+    h_class = array("i", [-1]) * n
+    for a, j in zip(incl.images, H.classes.class_of):
+        h_class[a] = j
+    inv = G._inverse_array()
+    if n <= TABLE_LIMIT:
+        t = G.cayley_table()
+
+        def conjugates(y):
+            left = map(G.column(y).__getitem__, inv)  # r^-1 * y
+            return map(t.__getitem__, map(add, map(n.__mul__, left), range(n)))
+    else:
+        mul = G.mul
+
+        def conjugates(y):
+            return (mul(mul(inv[r], y), r) for r in range(n))
+
+    counts = [[] for _ in range(H.classes.num_classes)]
+    for a, y in enumerate(G.classes.reps):
+        hits = Counter(map(h_class.__getitem__, conjugates(y)))
+        hits.pop(-1, None)
+        for j, c in hits.items():
+            counts[j].append((a, c))
+    incl._conjugate_counts = counts
+    return counts
+
+
 def induce(f: ClassFunction, incl: Homomorphism,
            strategy: str = "fusion") -> ClassFunction:
     """Frobenius induction of f along an injective homomorphism H -> G.
@@ -174,12 +218,12 @@ def induce(f: ClassFunction, incl: Homomorphism,
     Strategies, interchangeable and agreeing exactly:
 
     * ``"elements"``: the literal element sum above, the reference oracle.
-      For each class representative y it sweeps every r in G and counts,
-      as integers, the conjugates r^-1 y r that land in each H-class; each
-      count then scales f on that class once.  r^-1 y is the column of y
-      read at r^-1; up to order TABLE_LIMIT, (r^-1 y) r is read off the
-      Cayley table, built first, and above it is one `G.mul`.  The sweep
-      reads no class map of G, so it is independent of fusion.
+      For each class representative y of G, one sweep over every r in G
+      counts, as integers, the conjugates r^-1 y r that land in each
+      H-class (`_conjugate_counts`).  The counts depend on the inclusion
+      alone, so they are made once per inclusion and kept on it; each call
+      scales each nonzero f_j by its counts.  The sweep reads no class map
+      of G, so it is independent of fusion.
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.
@@ -196,33 +240,12 @@ def induce(f: ClassFunction, incl: Homomorphism,
                 for a in range(g_classes.num_classes)]
         return ClassFunction(G, vals)
     if strategy == "elements":
-        if not incl.is_injective():
-            raise ValueError("induction needs an injective homomorphism")
-        n = G.order
-        # the H-class of every element of G, -1 off the image of incl
-        h_class = array("i", [-1]) * n
-        for a, j in zip(incl.images, H.classes.class_of):
-            h_class[a] = j
-        inv = G._inverse_array()
-        if n <= TABLE_LIMIT:
-            t = G.cayley_table()
-
-            def conjugates(y):
-                left = map(G.column(y).__getitem__, inv)  # r^-1 * y
-                return map(t.__getitem__, map(add, map(n.__mul__, left), range(n)))
-        else:
-            mul = G.mul
-
-            def conjugates(y):
-                return (mul(mul(inv[r], y), r) for r in range(n))
-
-        vals = []
-        for y in G.classes.reps:
-            hits = Counter(map(h_class.__getitem__, conjugates(y)))
-            hits.pop(-1, None)
-            total = sum((f.values[j] * c for j, c in hits.items()), Fraction(0))
-            vals.append(total / H.order)
-        return ClassFunction(G, vals)
+        acc = [Fraction(0)] * G.classes.num_classes
+        for v, pairs in zip(f.values, _conjugate_counts(incl)):
+            if v:
+                for a, c in pairs:
+                    acc[a] += v * c
+        return ClassFunction(G, [x / H.order for x in acc])
     raise ValueError(f"unknown induction strategy: {strategy}")
 
 

@@ -22,10 +22,11 @@ monomials in them, one per colored partition of n, form a basis of level n
 change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
 times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
 returns that closed form; `change_of_basis` multiplies the generators out
-and is its oracle.  It runs each chain of generators on weighted supports
-through `_fuse`, with no class function per step and one fusion step per
-distinct prefix of generators, and keeps each row on its support, as a
-`ratlinalg.SparseRow`, through to the determinant.
+and is its oracle.  Under both strategies it makes one product per
+distinct prefix of generators; by fusion it runs each chain on weighted
+supports through `_fuse`, with no class function per step, and keeps each
+row on its support, as a `ratlinalg.SparseRow`, through to the
+determinant.
 
 Everything here except the ``"elements"`` strategy is class-level work on
 the types of each level, so it is bounded by the level (``--max-level``),
@@ -135,6 +136,25 @@ def monomial_value(G: FiniteGroup, mu: TypeMatrix) -> ClassFunction:
     return ClassFunction(W, vals)
 
 
+def _prefix_folds(types, start, step) -> list:
+    """Per type, the left fold by `step` of its generators (r, c), in entry
+    order, onto `start`.  The fold of a type is the fold of its generators
+    but the last, stepped once more, so each distinct prefix of generators
+    is stepped once per call."""
+    folds = {(): start}
+    out = []
+    for t in types:
+        gens = tuple((r, c) for r, c, m in t.entries for _ in range(m))
+        i = len(gens)
+        while gens[:i] not in folds:
+            i -= 1
+        acc = folds[gens[:i]]
+        for i in range(i, len(gens)):
+            acc = folds[gens[:i + 1]] = step(acc, gens[i])
+        out.append(acc)
+    return out
+
+
 def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     """Square matrix of generator-monomial values on the classes of
     G wr S_n; rows and columns are both indexed by the colored partitions
@@ -142,47 +162,31 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     basis of level n.  Each row is a `ratlinalg.SparseRow`, held on its
     support and read as the dense row.
 
-    Each row multiplies its generators out by the fusion rule, so this
-    matrix and its exact determinant are the oracle for the closed forms
-    of `monomial_value` and `fock basis`.  Under ``"fusion"`` a row is the
-    left fold, by `_fuse` on weighted supports, of its generators in entry
-    order onto the unit's support.  The fold of a row is the fold of its
-    generators but the last, fused once more, so each distinct prefix of
-    generators is fused once per call, and each generator's support is
-    taken once.  Under ``"elements"`` every step is a `fock_product` by
-    induced class functions.
+    Each row multiplies its generators out, in entry order, onto the unit,
+    so this matrix and its exact determinant are the oracle for the closed
+    forms of `monomial_value` and `fock basis`.  Under either strategy one
+    walk (`_prefix_folds`) makes each distinct prefix of generators once
+    per call: the row of a type is the product for its generators but the
+    last, times that last one.  Under ``"fusion"`` a step is `_fuse` on
+    weighted supports, each generator's support taken once; under
+    ``"elements"`` it is a `fock_product` by induced class functions.
 
     Returns (rows, types).
     """
     if strategy not in ("fusion", "elements"):
         raise ValueError(f"unknown strategy: {strategy}")
     W = _level(G, n)
-    types = W.types
-    rows = []
+    deltas = {(r, c): delta(G, r, c) for r in range(1, n + 1)
+              for c in range(G.classes.num_classes)}
+    unit = one(_level(G, 0))
     if strategy == "fusion":
-        supports = {(r, c): _weighted_support(delta(G, r, c))
-                    for r in range(1, n + 1)
-                    for c in range(G.classes.num_classes)}
-        # generators (r, c), in entry order -> the fold of their supports
-        folds = {(): dict(_weighted_support(one(_level(G, 0))))}
-        for t in types:
-            gens = tuple((r, c) for r, c, m in t.entries for _ in range(m))
-            i = len(gens)
-            while gens[:i] not in folds:
-                i -= 1
-            fs = folds[gens[:i]]
-            for i in range(i, len(gens)):
-                fs = folds[gens[:i + 1]] = _fuse(fs.items(), supports[gens[i]])
-            rows.append(_row(W, fs))
-        return rows, types
-    for t in types:
-        f = one(_level(G, 0))
-        for r, c, m in t.entries:
-            d = delta(G, r, c)
-            for _ in range(m):
-                f = fock_product(f, d, strategy=strategy)
-        rows.append(SparseRow.of(f.values))
-    return rows, types
+        supports = {g: _weighted_support(d) for g, d in deltas.items()}
+        folds = _prefix_folds(W.types, dict(_weighted_support(unit)),
+                              lambda fs, g: _fuse(fs.items(), supports[g]))
+        return [_row(W, fs) for fs in folds], W.types
+    folds = _prefix_folds(W.types, unit, lambda f, g: fock_product(
+        f, deltas[g], strategy="elements"))
+    return [SparseRow.of(f.values) for f in folds], W.types
 
 
 def module_action_over_sym(f: ClassFunction, x: ClassFunction) -> ClassFunction:

@@ -272,9 +272,9 @@ class ConjugacyClasses:
             self._rep_descs = tuple(self._make_rep_descs())
         return self._rep_descs
 
-    @property
+    @functools.cached_property
     def reps(self) -> tuple[int, ...]:
-        """One representative element index per class."""
+        """One representative element index per class, made once."""
         return tuple(self.group.index_of(d) for d in self.rep_descs)
 
     def members(self, k: int) -> list[int]:

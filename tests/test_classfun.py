@@ -1,4 +1,6 @@
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from wreathfock.catalog import catalog_group
 from wreathfock.classfun import (ClassFunction, external_product, indicator,
                                  indicator_basis, induce, inner_product, one,
                                  pullback_along, restrict, span_rank, zero)
-from wreathfock.groups import (Homomorphism, Permutation, compose_homs,
-                               direct_product, hom_from_generator_images,
-                               subgroup)
+from wreathfock.groups import (ConjugacyClasses, Homomorphism, Permutation,
+                               compose_homs, direct_product,
+                               hom_from_generator_images, subgroup)
+from wreathfock.wreath import embed_product
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +147,102 @@ def test_induce_by_elements_without_a_table_equals_fusion(G, data):
     f = ClassFunction(S, data.draw(st.lists(
         fractions, min_size=S.classes.num_classes,
         max_size=S.classes.num_classes)))
+    G._inverse_array()          # made before G.mul is counted
+    sweep = 2 * G.order * G.classes.num_classes
     for incl in maps:
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, \
+                mock.patch.object(G, "mul", wraps=G.mul) as mul:
             mp.setattr(classfun, "TABLE_LIMIT", 0)
             by_elements = induce(f, incl, strategy="elements")
+            # the G.mul branch ran: two products per r in G, per G-class
+            assert mul.call_count == sweep
+            # and its counts are kept: a second f sweeps nothing
+            assert induce(2 * f, incl, strategy="elements") == 2 * by_elements
+            assert mul.call_count == sweep
         assert G._table is None
         assert by_elements == induce(f, incl, strategy="fusion")
+
+
+CLASS_MAPS = ("class_of", "class_of_index", "class_of_desc")
+
+
+def refusing_class_maps(G):
+    """ConjugacyClasses with the class maps of G's classes made to raise;
+    every other group's still work."""
+    def guard(name):
+        real = ConjugacyClasses.__dict__[name]
+        fn = real.fget if isinstance(real, property) else real
+
+        def guarded(self, *args):
+            if self.group is G:
+                raise AssertionError(f"read the {name} of {G.label}")
+            return fn(self, *args)
+        return property(guarded) if isinstance(real, property) else guarded
+
+    return [mock.patch.object(ConjugacyClasses, name, guard(name))
+            for name in CLASS_MAPS]
+
+
+def fresh_inclusions():
+    """Inclusions between groups built here, in no cache: D8 into S4, and
+    the embedding C2 wr S1 x C2 wr S1 -> C2 wr S2."""
+    S4 = catalog_group.__wrapped__("S4")
+    gens = [S4.index_of(Permutation.from_cycles(4, [c])) for c in
+            [(0, 1), (0, 2, 1, 3)]]
+    return [subgroup(S4, closure(native_table(S4), gens))[1],
+            embed_product(catalog_group.__wrapped__("C2"), 1, 1)]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("table_limit", [None, 0])
+def test_induce_by_elements_reads_no_class_map_of_G(case, table_limit):
+    incl = fresh_inclusions()[case]
+    H, G = incl.dom, incl.cod
+    fs = [ClassFunction(H, [Fraction(j + 1, 2) - k for j in range(
+        H.classes.num_classes)]) for k in range(2)]
+    with pytest.MonkeyPatch.context() as mp, contextlib.ExitStack() as stack:
+        if table_limit is not None:
+            mp.setattr(classfun, "TABLE_LIMIT", table_limit)
+        for patch in refusing_class_maps(G):
+            stack.enter_context(patch)
+        with pytest.raises(AssertionError):
+            G.classes.class_of_index(0)
+        by_elements = [induce(f, incl, strategy="elements") for f in fs]
+    assert by_elements == [induce(f, incl, strategy="fusion") for f in fs]
+
+
+def test_induce_by_elements_along_one_inclusion_is_a_fresh_sweep():
+    incl = fresh_inclusions()[0]
+    H, G = incl.dom, incl.cod
+    k = H.classes.num_classes
+    for vals in ([1] * k, [Fraction(j, 3) - 1 for j in range(k)],
+                 [0] * (k - 1) + [5]):
+        f = ClassFunction(H, vals)
+        fresh = Homomorphism(H, G, incl.images)
+        assert induce(f, incl, strategy="elements") == \
+            induce(f, fresh, strategy="elements") == \
+            induce(f, incl, strategy="fusion")
+
+
+def test_inclusions_into_one_group_keep_their_own_counts(C2):
+    S4 = catalog_group("S4")
+    t = S4.index_of(Permutation.from_cycles(4, [(0, 1)]))
+    tt = S4.index_of(Permutation.from_cycles(4, [(0, 1), (2, 3)]))
+    maps = [hom_from_generator_images(C2, C2.generator_indices, S4, [x])
+            for x in (t, tt)]
+    f = indicator(C2, 1)
+    by_elements = [induce(f, h, strategy="elements") for h in maps]
+    assert by_elements[0] != by_elements[1]
+    assert by_elements == [induce(f, h, strategy="fusion") for h in maps]
+    assert [induce(f, h, strategy="elements") for h in reversed(maps)] == \
+        by_elements[::-1]
+
+
+def test_induce_by_elements_rejects_a_map_that_is_not_injective(S3, C2):
+    sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="injective"):
+            induce(indicator(S3, 0), sgn, strategy="elements")
 
 
 def test_induce_is_linear(S3, s2_in_s3):

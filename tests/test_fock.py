@@ -547,6 +547,23 @@ def test_monomial_closed_form_on_random_bases(G, n):
         assert change_of_basis(G, n, strategy="elements")[0] == rows
 
 
+@pytest.mark.parametrize("name,n", [("trivial", 3), ("C2", 3), ("D8", 2)])
+def test_change_of_basis_by_elements_makes_one_product_per_prefix(name, n):
+    G = catalog_group(name)
+    types = [t for t, _ in classes_by_type(G, n)]
+    prefixes = set()
+    for t in types:
+        gens = [(r, c) for r, c, m in t.entries for _ in range(m)]
+        prefixes.update(tuple(gens[:i]) for i in range(1, len(gens) + 1))
+    with mock.patch.object(fock, "fock_product", wraps=fock_product) as product:
+        rows, got = change_of_basis(G, n, strategy="elements")
+    assert got == types
+    assert product.call_count == len(prefixes)
+    assert all(call.kwargs == {"strategy": "elements"}
+               for call in product.call_args_list)
+    assert rows == change_of_basis(G, n)[0]
+
+
 # ---------------------------------------------------------------------------
 # class-level work above the element cap
 
