@@ -227,11 +227,15 @@ def induce(f: ClassFunction, incl: Homomorphism,
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.
+
+    Both raise ValueError for a map that is not injective.
     """
     H, G = incl.dom, incl.cod
     if f.group is not H:
         raise ValueError("function lives on a different group than incl's domain")
     if strategy == "fusion":
+        if not incl.is_injective():
+            raise ValueError("induction needs an injective homomorphism")
         g_classes = G.classes
         acc = [Fraction(0)] * g_classes.num_classes
         for j, a in enumerate(incl.class_map):

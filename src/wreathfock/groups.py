@@ -9,16 +9,21 @@ multiplying all pairs: `Homomorphism.verify`, `hom_from_generator_images`
 and `subgroup` check every edge (x, x*s), |G| * #gens of them.  They read
 each edge off the right-multiplication column of s (`FiniteGroup.column`),
 the index sequence x -> x*s, made once per element and cached on the
-group.  A column costs |G| native products, or none where the group has
-a Cayley table or its construction gives a column rule: a direct product
+group.  `verify` and the conjugation orbits handle a whole column at once,
+gathering index sequences through one another (`_gather`) rather than
+stepping edge by edge.  A column costs |G| native products, or none where
+the group has a Cayley table or its construction gives the column: the
+permutation closure keeps the columns of its generators, a direct product
 reads the factors' columns at i*|H| + j, a subgroup the ambient column,
 and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
 columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).  Those
 constructions derive their inverse arrays the same way.
 Every walk is a breadth-first queue, a list that grows while it is read.
 The Cayley table, `verify` and the conjugacy classes walk one generating
-set, decided once per group (`FiniteGroup._spanning_generators`): stored
-generators need not generate the group.
+set per group (`FiniteGroup._spanning_generators`): the permutation
+closure, `subgroup` and `direct_product` record the one their construction
+proves, any other group decides it once, since stored generators need not
+generate the group.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
@@ -35,6 +40,7 @@ import functools
 import os
 import random
 from array import array
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 200_000
@@ -90,8 +96,11 @@ def check_order_cap(label: str, order: int) -> None:
 
 
 def _gather(seq, idx) -> tuple:
-    """(seq[i] for i in idx) as a tuple; unlike itemgetter(*idx), also a
-    tuple when idx has a single entry."""
+    """(seq[i] for i in idx) as a tuple: the index sequence idx composed
+    with seq.  One `itemgetter` call for two or more indices; a single
+    index, for which itemgetter returns the bare item, is still a tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
     return tuple(map(seq.__getitem__, idx))
 
 
@@ -355,8 +364,9 @@ class FiniteGroup:
 
     def _spanning_generators(self) -> list[int]:
         """A generating set, decided once: the stored generators if they
-        reach every element, else `find_generators`.  `Homomorphism.verify`
-        records the stored ones when its walk reaches every element."""
+        reach every element, else `find_generators`.  The permutation
+        closure, `subgroup` and `direct_product` record theirs when they
+        build the group, as their construction proves it generates."""
         if self._spanning is None:
             gens = list(self.generator_indices)
             if len(self._generator_columns(gens)[1]) < self.order - 1:
@@ -412,7 +422,8 @@ class FiniteGroup:
 
         Read off the Cayley table once there is one, else made by the
         construction's column rule (direct products, subgroups), else by
-        |G| native products.  The identity's column needs no product.
+        |G| native products.  The identity's column needs no product, and
+        a permutation closure caches its generators' columns when built.
         """
         col = self._columns.get(s)
         if col is None:
@@ -506,19 +517,27 @@ def group_from_permutation_generators(degree, generators, label=None):
     ident = Permutation.identity(degree)
     elements = [ident]
     index = {ident: 0}
+    cols = [[] for _ in gens]       # cols[k][w] = index of w * gens[k]
     for w in elements:
-        for g in gens:
+        for g, col in zip(gens, cols):
             y = w * g
-            if y not in index:
+            i = index.get(y)
+            if i is None:
                 if len(elements) >= cap:
                     raise ResourceLimitError(
                         f"closure exceeds the element cap {cap}")
-                index[y] = len(elements)
+                i = index[y] = len(elements)
                 elements.append(y)
+            col.append(i)
     if label is None:
         label = f"<perm group on {degree} points>"
-    return FiniteGroup(label, elements, Permutation.__mul__,
-                       inv_desc=Permutation.inverse, generators=gens)
+    G = FiniteGroup(label, elements, Permutation.__mul__,
+                    inv_desc=Permutation.inverse, generators=gens)
+    # the walk above reached every element from the identity along gens
+    G._index = index
+    G._spanning = [index[g] for g in gens]
+    G._columns.update(zip(G._spanning, cols))
+    return G
 
 
 def conjugation_orbits(G: FiniteGroup, gens=None):
@@ -547,16 +566,19 @@ def conjugation_orbits(G: FiniteGroup, gens=None):
 
 def _conjugation_orbit(G: FiniteGroup, gens) -> Callable[[int], list[int]]:
     """The orbit map x -> [x under conjugation by <gens>], each orbit walked
-    breadth-first along x -> g*x*g^-1 for g in gens.
+    breadth-first along x -> g^-1*x*g for g in gens.
 
-    Each step is one lookup in a precomputed index sequence: with c the
-    column of g^-1 and inv the inverse array, g*x*g^-1 = inv[c[inv[c[x]]]].
+    Each step is one lookup in an index sequence made once per generator,
+    by three whole-column gathers: with c the column of g itself and inv
+    the inverse array, g^-1*x*g = c[inv[c[inv[x]]]].  No column of g^-1 is
+    made, so the orbits cost no native product where the columns of gens
+    exist.
     """
     inv = G._inverse_array()
     steps = []
     for g in gens:
-        c = G.column(inv[g])
-        steps.append(_gather(inv, _gather(c, _gather(inv, c))))
+        c = G.column(g)
+        steps.append(_gather(c, _gather(inv, _gather(c, inv))))
 
     def orbit_of(seed: int) -> list[int]:
         orbit, seen = [seed], {seed}
@@ -610,6 +632,7 @@ def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
     S = FiniteGroup(label or f"<subgroup of {G.label}, order {len(idxs)}>",
                     idxs, G.mul, inv_desc=G.inv,
                     generators=[idxs[g] for g in gens], _column_of=column)
+    S._spanning = gens
     incl = Homomorphism(S, G, images=idxs, label="inclusion")
     return S, incl
 
@@ -673,9 +696,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     def mul(a, b):
         return (G.mul(a[0], b[0]), H.mul(a[1], b[1]))
 
-    def pairs(xs, ys, k=nH) -> tuple:
+    def pairs(xs, ys, k=nH) -> list:
         # the index i*k + j of every pair (i, j), i in xs, j in ys
-        return tuple(i + j for i in map(k.__mul__, xs) for j in ys)
+        return [i + j for i in map(k.__mul__, xs) for j in ys]
 
     def column(s):
         a, b = divmod(s, nH)
@@ -684,6 +707,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     gens = [(g, 0) for g in G.generator_indices] + \
            [(0, h) for h in H.generator_indices]
     P = FiniteGroup(label, elements, mul, generators=gens, _column_of=column)
+    P._spanning = [g * nH for g in G._spanning_generators()] + \
+        H._spanning_generators()
     P._inverses = array("i", pairs(G._inverse_array(), H._inverse_array()))
     cG, cH = G.classes, H.classes
     kH = cH.num_classes
@@ -740,32 +765,27 @@ class Homomorphism:
     def verify(self) -> None:
         """Check f(x*y) == f(x)*f(y) for all x, y in the domain.
 
-        Extends the images of a generating set S along every edge (x, x*s)
-        of its Cayley graph and compares the result with f.  A map that
-        agrees with f(x*s) = f(x)*f(s) on every edge satisfies
+        Checks f(x*s) == f(x)*f(s) on every edge (x, x*s) of the Cayley
+        graph of dom's generating set S (`_spanning_generators`).  A map
+        with f(e) = e that agrees on every edge satisfies
         f(x*w) = f(x)*f(w) for every word w in S, by induction on the
-        length of w, and every element is such a word.  Reads x*s off the
-        column of s in dom and f(x)*f(s) off the column of f(s) in cod:
-        2 * |dom| * |S| lookups, no product once those columns exist, and
-        no Cayley table.  S is dom's `_spanning_generators` once they are
-        decided, else its stored generators: a walk on those that reaches
-        every element decides them, one that does not walks again on
-        `_spanning_generators`.
+        length of w, and every element is such a word.  For each s the
+        edges are compared a whole column at a time: f read along the
+        column of s in dom, against the column of f(s) in cod read along
+        f.  2 * |dom| * |S| lookups, no product once those columns exist,
+        and no Cayley table.  The error names the first failing edge.
         """
         dom, cod = self.dom, self.cod
         f = self.images
         if f[0] != 0:
             raise NotAHomomorphismError("not a homomorphism: identity moves")
-        gens = dom._spanning or list(dom.generator_indices)
-        img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
-        if -1 in img:
-            gens = dom._spanning_generators()
-            img = _extend_along_edges(dom, gens, cod, [f[s] for s in gens])
-        dom._spanning = gens
-        if img != f:
-            x = next(x for x, (a, b) in enumerate(zip(img, f)) if a != b)
-            raise NotAHomomorphismError(
-                f"not a homomorphism: fails at element {x}")
+        for s in dom._spanning_generators():
+            lhs = _gather(f, dom.column(s))
+            rhs = _gather(cod.column(f[s]), f)
+            if lhs != rhs:
+                x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                raise NotAHomomorphismError(
+                    f"not a homomorphism: fails at edge ({x}, {s})")
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.cod.order

@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 from array import array
+from operator import mul
 from typing import NamedTuple
 
 from .catalog import catalog_group
@@ -253,7 +254,9 @@ class WreathGroup(FiniteGroup):
     the position of s among the permutations of the slots in lexicographic
     order.  Columns and inverses are computed on these indices from the
     base group's columns and inverses (`_slot_sweep`), with no product of
-    wreath elements.
+    wreath elements, and `index_of` reads the index off a descriptor, so
+    class representatives and stored generators are located without
+    enumerating the level.
     """
 
     def __init__(self, base: FiniteGroup, n: int):
@@ -319,6 +322,20 @@ class WreathGroup(FiniteGroup):
         """
         check_order_cap(self.label, self.order)
         return list(itertools.permutations(range(self.n)))
+
+    def index_of(self, desc) -> int:
+        """The index P(g) * n! + rank(s) of desc = (g, s), read off the
+        descriptor without enumerating the level.  Accepts exactly what
+        the element dict would, any part equal to a base index included;
+        ValueError for anything else."""
+        rank, digits = self._slot_rank, range(self.base.order)
+        if (isinstance(desc, tuple) and len(desc) == 2
+                and isinstance(desc[0], tuple) and len(desc[0]) == self.n
+                and all(g in digits for g in desc[0])
+                and isinstance(desc[1], Permutation) and desc[1].images in rank):
+            weighted = map(mul, map(digits.index, desc[0]), self._place_values())
+            return sum(weighted) + rank[desc[1].images]
+        raise ValueError(f"{desc!r} is not an element of {self.label}")
 
     @functools.cached_property
     def _slot_rank(self) -> dict:

@@ -245,6 +245,13 @@ def test_induce_by_elements_rejects_a_map_that_is_not_injective(S3, C2):
             induce(indicator(S3, 0), sgn, strategy="elements")
 
 
+@pytest.mark.parametrize("strategy", ["fusion", "elements"])
+def test_induce_rejects_a_map_that_is_not_injective(S3, C2, strategy):
+    sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])
+    with pytest.raises(ValueError, match="injective"):
+        induce(indicator(S3, 0), sgn, strategy=strategy)
+
+
 def test_induce_is_linear(S3, s2_in_s3):
     H, incl = s2_in_s3
     e0, e1 = indicator_basis(H)

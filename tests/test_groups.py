@@ -516,6 +516,49 @@ def test_verify_on_product_and_subgroup_maps_agrees_with_all_pairs(G, H, data):
 
 
 @walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3), st.data())
+def test_spanning_sets_and_columns_recorded_by_construction_are_sound(G, H,
+                                                                      data):
+    tG = native_table(G)
+    # the closure records the columns of its generators and nothing else
+    assert set(G._columns) == set(G._spanning)
+    built = [(G, tG)]
+    built += [(S, subgroup_table(S, tG)) for S in small_subgroups(G, tG, data)]
+    P = direct_product(G, H)[0]
+    built.append((P, product_table(P, G, H)))
+    for A, t in built:
+        n = A.order
+        assert closure(t, A._spanning) == set(range(n))
+        cols = columns_of(t)
+        assert all(list(col) == cols[s] for s, col in A._columns.items())
+        inv = [row.index(0) for row in t]
+        g = data.draw(st.integers(0, n - 1))
+        inner = [t[t[g][x]][inv[g]] for x in range(n)]
+        noise = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                   max_size=n))
+        for images in (list(range(n)), inner, change_one(inner, data, n),
+                       [0] + noise[1:]):
+            assert_verify_iff_all_pairs(Homomorphism(A, A, images=images),
+                                        t, t)
+
+
+def test_closure_group_work_makes_no_native_product(monkeypatch):
+    G = group_from_permutation_generators(
+        5, [Permutation.from_cycles(5, [(0, 1)]),
+            Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])], label="S5")
+
+    def refuse(*args):
+        raise AssertionError("a native permutation product was made")
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    monkeypatch.setattr(G, "_mul_desc", refuse)   # the product G was built with
+    Homomorphism(G, G, range(G.order)).verify()
+    assert sorted(G.classes.sizes) == [1, 10, 15, 20, 20, 24, 30]
+    P = direct_product(G, G)[0]                   # verifies its four maps
+    assert P.order == 120 ** 2
+
+
+@walk_settings
 @given(perm_groups(max_degree=4), perm_groups(max_degree=3))
 def test_product_class_array_is_the_per_element_classifier(G, H):
     C2 = catalog_group("C2")

@@ -12,8 +12,9 @@ from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction
 from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
                              graded_dimension_series, monomial_value)
-from wreathfock.groups import (ENV_MAX_ORDER, Permutation, ResourceLimitError,
-                               check_group_axioms, conjugation_orbits)
+from wreathfock.groups import (ENV_MAX_ORDER, FiniteGroup, Permutation,
+                               ResourceLimitError, check_group_axioms,
+                               conjugation_orbits)
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
                                centralizer_order, class_count_series,
                                classes_by_type, cycle_product, embed_product,
@@ -416,6 +417,46 @@ def test_wreath_tables_and_orbits_make_no_wreath_product(C2):
     assert len(sizes) == len(W.types)
     fresh = WreathGroup(C2, 3)
     assert list(class_of) == list(conjugation_orbits(fresh)[0])
+
+
+@pytest.mark.parametrize("name, n", [("trivial", 3), ("C2", 3), ("C4", 1),
+                                     ("S3", 2), ("Dic3", 2)])
+def test_level_index_of_is_the_enumerated_index(name, n, monkeypatch):
+    G = catalog_group(name)
+    enumerated = WreathGroup(G, n)
+    els = enumerated.elements
+    ident = Permutation.identity(n)
+    bad = [((0,) * (n + 1), ident), ((0,) * (n - 1), ident),
+           ((G.order,) + (0,) * (n - 1), ident),
+           ((-1,) + (0,) * (n - 1), ident),
+           ((0,) * n, Permutation.identity(n + 1)), ((0,) * n, ident.images),
+           ((0,) * n, ident, 0), ((0,) * n,), None, 0]
+
+    def refuse(self):
+        raise AssertionError(f"{self.label} was enumerated")
+
+    monkeypatch.setattr(WreathGroup, "_enumerate", refuse)
+    W = WreathGroup(G, n)
+    assert W.classes.reps == enumerated.classes.reps
+    assert W.generator_indices == enumerated.generator_indices
+    assert [W.index_of(d) for d in els] == [enumerated.index[d] for d in els]
+    assert [W.index_of((d.parts, d.perm)) for d in els] == list(range(len(els)))
+    for d in bad:
+        with pytest.raises(ValueError, match="is not an element"):
+            W.index_of(d)
+        with pytest.raises(ValueError, match="is not an element"):
+            FiniteGroup.index_of(enumerated, d)     # the element dict
+    # unhashable descriptors: the element dict raises TypeError on them
+    for d in ([(0,) * n, ident], ([0] * n, ident)):
+        with pytest.raises(ValueError, match="is not an element"):
+            W.index_of(d)
+
+
+def test_level_index_of_is_refused_above_the_cap(monkeypatch):
+    W = WreathGroup(catalog_group("S3"), 3)          # order 1296
+    monkeypatch.setenv(ENV_MAX_ORDER, "1000")
+    with pytest.raises(ResourceLimitError):
+        W.index_of(W.classes.rep_descs[0])
 
 
 def test_class_level_fock_work_enumerates_no_wreath_element(monkeypatch):
