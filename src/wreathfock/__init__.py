@@ -28,10 +28,11 @@ from .groups import (FiniteGroup, Homomorphism, NotAHomomorphismError,
                      centralizer, check_group_axioms, compose_homs,
                      direct_product, group_from_permutation_generators,
                      hom_from_generator_images, subgroup)
-from .pullback import (PullbackGroup, build_pullback, fusion_pattern,
-                       is_conjugacy_closed, n_cycle_classes_closed,
-                       restriction_map_matrix, semidirect_product_iso,
-                       tensor_over_classk, verify_class_ring_decomposition)
+from .pullback import (PullbackGroup, build_pullback, class_pair_splitting,
+                       fusion_pattern, is_conjugacy_closed,
+                       n_cycle_classes_closed, restriction_map_matrix,
+                       semidirect_product_iso, tensor_over_classk,
+                       verify_class_ring_decomposition)
 from .wreath import (TypeMatrix, WreathElement, WreathGroup,
                      centralizer_order, class_count_series, classes_by_type,
                      cycle_product, embed_product, quotient_to_symmetric,
@@ -40,12 +41,12 @@ from .wreath import (TypeMatrix, WreathElement, WreathGroup,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassFunction", "FiniteGroup", "FockElement",
-    "Homomorphism", "NotAHomomorphismError", "NotASubgroupError",
-    "Permutation", "PullbackGroup", "ResourceLimitError", "TypeMatrix",
-    "WreathElement", "WreathGroup", "build_pullback", "catalog_group",
-    "centralizer", "centralizer_order", "change_of_basis",
-    "check_group_axioms", "class_count_series", "classes_by_type",
+    "ClassFunction", "FiniteGroup", "FockElement", "Homomorphism",
+    "NotAHomomorphismError", "NotASubgroupError", "Permutation",
+    "PullbackGroup", "ResourceLimitError", "TypeMatrix", "WreathElement",
+    "WreathGroup", "build_pullback", "catalog_group", "centralizer",
+    "centralizer_order", "change_of_basis", "check_group_axioms",
+    "class_count_series", "class_pair_splitting", "classes_by_type",
     "compose_homs", "cycle_product", "delta", "direct_product",
     "embed_product", "external_product", "fock_product", "fusion_pattern",
     "graded_dimension_series", "group_from_permutation_generators",

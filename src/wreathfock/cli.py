@@ -20,8 +20,9 @@ from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
-from .pullback import (build_pullback, fusion_pattern, is_conjugacy_closed,
-                       n_cycle_classes_closed, verify_class_ring_decomposition)
+from .pullback import (build_pullback, class_pair_splitting,
+                       decomposition_report, is_conjugacy_closed,
+                       n_cycle_classes_closed, splitting_pattern)
 from .wreath import TypeMatrix, _colored_partitions, centralizer_order
 
 
@@ -228,8 +229,9 @@ def _load_scenario_file(path):
 
 
 def _load_scenario(args):
-    """The PullbackGroup named by --scenario, or by --G/--H/--K with the maps
-    --alpha/--beta (each implied when K is trivial)."""
+    """The structure maps named by --scenario, or by --G/--H/--K with the
+    maps --alpha/--beta (each implied when K is trivial), and the number of
+    pullback classes over each class pair (`class_pair_splitting`)."""
     if args.scenario:
         alpha, beta = _load_scenario_file(args.scenario)
     elif not (args.G and args.H and args.K):
@@ -240,27 +242,40 @@ def _load_scenario(args):
                  if args.alpha else _trivial_hom(G, K))
         beta = (load_hom_file(args.beta, dom=H, cod=K)
                 if args.beta else _trivial_hom(H, K))
-    return build_pullback(alpha, beta)
+    return alpha, beta, class_pair_splitting(alpha, beta)
+
+
+def _witness(alpha, beta, hits):
+    """None for a conjugacy-closed pullback, else the witness pair of
+    `is_conjugacy_closed`, the one output that depends on the carrier's
+    element order: only then is the carrier built."""
+    return (is_conjugacy_closed(build_pullback(alpha, beta).incl)[1]
+            if max(hits) > 1 else None)
+
+
+def _header(alpha, beta):
+    """The labels of G, H and K, and the pullback order |G| |H| / |K|."""
+    G, H, K = alpha.dom, beta.dom, alpha.cod
+    return G.label, H.label, K.label, G.order * H.order // K.order
 
 
 def cmd_pullback_build(args) -> int:
-    pb = _load_scenario(args)
-    G, H, K = pb.G.label, pb.H.label, pb.K.label
-    doc = {"G": G, "H": H, "K": K, "order": pb.order,
-           "num_classes": pb.carrier.classes.num_classes}
+    alpha, beta, hits = _load_scenario(args)
+    G, H, K, order = _header(alpha, beta)
+    doc = {"G": G, "H": H, "K": K, "order": order, "num_classes": sum(hits)}
     _emit(args, doc,
-          f"pullback {G} x_{K} {H}: order {pb.order}, "
+          f"pullback {G} x_{K} {H}: order {order}, "
           f"{doc['num_classes']} classes")
     return 0
 
 
 def cmd_pullback_check_closed(args) -> int:
-    pb = _load_scenario(args)
-    closed, witness = is_conjugacy_closed(pb.incl)
-    pat = fusion_pattern(pb.incl)
+    alpha, beta, hits = _load_scenario(args)
+    witness = _witness(alpha, beta, hits)
+    closed = witness is None
     doc = {"conj_closed": closed,
            "witness": [repr(w) for w in witness] if witness else None,
-           "fusion_pattern": pat}
+           "fusion_pattern": splitting_pattern(hits)}
     text = f"conjugacy-closed: {closed}"
     if witness:
         text += f"\nwitness (ambient-conjugate, not sub-conjugate): {witness}"
@@ -269,12 +284,12 @@ def cmd_pullback_check_closed(args) -> int:
 
 
 def cmd_pullback_verify_iso(args) -> int:
-    pb = _load_scenario(args)
-    rep = verify_class_ring_decomposition(pb)
-    G, H, K = pb.G.label, pb.H.label, pb.K.label
-    doc = {"G": G, "H": H, "K": K, "order": pb.order}
+    alpha, beta, hits = _load_scenario(args)
+    rep = decomposition_report(alpha, beta, hits, _witness(alpha, beta, hits))
+    G, H, K, order = _header(alpha, beta)
+    doc = {"G": G, "H": H, "K": K, "order": order}
     doc.update(rep.to_json())
-    lines = [f"pullback {G} x_{K} {H}: order {pb.order}",
+    lines = [f"pullback {G} x_{K} {H}: order {order}",
              f"conjugacy-closed: {rep.conj_closed}",
              f"tensor quotient dim: {rep.quotient_dim}",
              f"restriction map rank: {rep.map_rank} "

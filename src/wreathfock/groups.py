@@ -575,11 +575,14 @@ def _conjugation_orbit(G: FiniteGroup, gens) -> Callable[[int], list[int]]:
     exist.
     """
     inv = G._inverse_array()
-    steps = []
-    for g in gens:
-        c = G.column(g)
-        steps.append(_gather(c, _gather(inv, _gather(c, inv))))
+    return _orbit_walk([_gather(c, _gather(inv, _gather(c, inv)))
+                        for c in map(G.column, gens)])
 
+
+def _orbit_walk(steps) -> Callable[[int], list[int]]:
+    """The orbit map x -> [x under the group the steps generate], each step
+    an index sequence that permutes the element indices, each orbit walked
+    breadth-first along x -> step[x]."""
     def orbit_of(seed: int) -> list[int]:
         orbit, seen = [seed], {seed}
         for x in orbit:

@@ -6,24 +6,30 @@ subgroup Gamma = {(g, h) : alpha(g) = beta(h)} of G x H, of order
 conjugacy-closed in G x H, restriction of class functions induces a ring
 isomorphism  Class(G) (x)_{Class(K)} Class(H)  ->  Class(Gamma).
 
-Every verdict is read off class maps: the class of the image of each class
-representative under alpha, beta and the inclusion of Gamma in G x H.  The
-tensor dimension, the rank of the restriction map and conjugacy-closedness
-all have closed forms in these maps.  The relation and restriction matrices
-stay available (`tensor_over_classk`, `restriction_map_matrix`) as the
-exact-rank oracles the tests compare against.
+Every verdict is read off `hits`, the number of Gamma-classes over each
+class pair of G x H.  `class_pair_splitting` counts them as double cosets
+in K, from classes and centralizers of G, H and K, so neither G x H nor
+Gamma is built.  The carrier (`build_pullback`) is the oracle: its
+inclusion's class map gives the same counts, and it alone supplies the
+witness of a pullback that is not closed.  The tensor dimension, the rank
+of the restriction map and conjugacy-closedness all have closed forms in
+`hits` and the class maps of alpha and beta.  The relation and restriction
+matrices stay available (`tensor_over_classk`, `restriction_map_matrix`) as
+the exact-rank oracles the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import ratlinalg
 from .classfun import indicator, pullback_along
-from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit,
-                     compose_homs, direct_product, subgroup)
+from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit, _gather,
+                     _orbit_walk, centralizer, compose_homs, direct_product,
+                     find_generators_on, subgroup)
 from .wreath import (WreathElement, WreathGroup, _colored_partitions,
                      quotient_to_symmetric, split_type, wreath_group)
 
@@ -46,6 +52,15 @@ class PullbackGroup(NamedTuple):
         return self.carrier.order
 
 
+def _check_structure_maps(alpha: Homomorphism, beta: Homomorphism) -> None:
+    """Refuse maps that define no pullback: both must land in one group K
+    and be onto it."""
+    if alpha.cod is not beta.cod:
+        raise ValueError("alpha and beta must land in the same group")
+    if not alpha.is_surjective() or not beta.is_surjective():
+        raise ValueError("pullback needs surjective structure maps")
+
+
 def build_pullback(alpha: Homomorphism, beta: Homomorphism,
                    label: str | None = None) -> PullbackGroup:
     """Construct {(g, h) : alpha(g) = beta(h)} inside G x H.
@@ -56,10 +71,7 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
     the bucket of beta^-1(alpha(g)), so the pairs come in increasing index
     order at a cost of |Gamma| rather than |G| |H|.
     """
-    if alpha.cod is not beta.cod:
-        raise ValueError("alpha and beta must land in the same group")
-    if not alpha.is_surjective() or not beta.is_surjective():
-        raise ValueError("pullback needs surjective structure maps")
+    _check_structure_maps(alpha, beta)
     G, H, K = alpha.dom, beta.dom, alpha.cod
     P, pG, pH, _, _ = direct_product(G, H)
     buckets: list[list[int]] = [[] for _ in range(K.order)]
@@ -80,6 +92,67 @@ def build_pullback(alpha: Homomorphism, beta: Homomorphism,
     proj_H.verify()
     return PullbackGroup(G, H, K, alpha, beta, P, carrier, incl,
                          proj_G, proj_H)
+
+
+# ---------------------------------------------------------------------------
+# Gamma-classes over class pairs, by double cosets
+
+
+def class_pair_splitting(alpha: Homomorphism, beta: Homomorphism) -> list[int]:
+    """`hits`: the number of Gamma-classes lying over each class pair
+    (rho, gam) of G x H, at index rho * kH + gam, where Gamma = G x_K H.
+
+    Take g, the representative of rho, and k = alpha(g).  As Gamma maps
+    onto G, each Gamma-class over (rho, gam) meets {g} x {y in gam :
+    beta(y) = k}, and that set is empty unless rho and gam lie over one
+    K-class.  Otherwise fix h in it.  The pairs (g, y) are the
+    beta^-1(C_K(k))-conjugates of (g, h), and Gamma's stabilizer of g acts
+    on them through beta^-1(alpha(C_G(g))), so their Gamma-classes are the
+    double cosets alpha(C_G(g)) \\ C_K(k) / beta(C_H(h)).  Neither G x H
+    nor Gamma is built; the class map of the carrier's inclusion is the
+    oracle.
+    """
+    _check_structure_maps(alpha, beta)
+    G, H, K = alpha.dom, beta.dom, alpha.cod
+    # a member y of each H-class over each element beta(y) of K
+    over = {(gam, beta(y)): y for y, gam in enumerate(H.classes.class_of)}
+    right = functools.cache(
+        lambda h: sorted({beta(s) for s in centralizer(H, h)}))
+    hits = []
+    for g in G.classes.reps:
+        k = alpha(g)
+        left = sorted({alpha(s) for s in centralizer(G, g)})
+        for gam in range(H.classes.num_classes):
+            h = over.get((gam, k))
+            hits.append(0 if h is None else _double_cosets(
+                K, left, centralizer(K, k), right(h)))
+    return hits
+
+
+def _double_cosets(K: FiniteGroup, A: list, C: list, B: list) -> int:
+    """|A \\ C / B| for subgroups A and B of the subgroup C of K, each given
+    by its element indices, A and B in increasing order.  Each double coset
+    A c B is the orbit of c under x -> x*b and x -> a^-1*x = inv[inv[x]*a]
+    for generators b of B and a of A, each step an index sequence made from
+    K's column of the generator (`groups._orbit_walk`)."""
+    inv = K._inverse_array()
+    steps = [K.column(B[p]) for p in find_generators_on(K, B)] + [
+        _gather(inv, _gather(K.column(A[p]), inv))
+        for p in find_generators_on(K, A)]
+    orbit_of = _orbit_walk(steps)
+    seen, count = set(), 0
+    for c in C:
+        if c not in seen:
+            count += 1
+            seen.update(orbit_of(c))
+    return count
+
+
+def _carrier_hits(incl: Homomorphism) -> list[int]:
+    """The number of subgroup classes inside each ambient class, read off
+    the inclusion's class map: `hits` of a carrier's inclusion."""
+    inside = Counter(incl.class_map)
+    return [inside[a] for a in range(incl.cod.classes.num_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,29 +193,31 @@ def restriction_map_matrix(incl: Homomorphism):
 
 
 def fusion_pattern(incl: Homomorphism) -> dict[str, int]:
-    """How subgroup classes sit inside ambient classes: counts of ambient
-    classes containing 0, 1, or >= 2 subgroup classes, plus the rank of the
-    restriction map Class(amb) -> Class(sub) in the indicator bases.
+    """How subgroup classes sit inside ambient classes: `splitting_pattern`
+    of the number of subgroup classes in each ambient class."""
+    return splitting_pattern(_carrier_hits(incl))
+
+
+def splitting_pattern(hits: list[int]) -> dict[str, int]:
+    """The fusion pattern of a subgroup whose classes number hits[i] inside
+    ambient class i: counts of ambient classes containing 0, 1, or >= 2
+    subgroup classes, plus the rank of the restriction map
+    Class(amb) -> Class(sub) in the indicator bases.
 
     Restriction sends each ambient indicator to the sum of the indicators
     of the subgroup classes inside it, and these sums have disjoint
     supports, so the rank is the number of ambient classes hit."""
-    sub_of = incl.class_map
-    namb = incl.cod.classes.num_classes
-    hits = [0] * namb
-    for a in sub_of:
-        hits[a] += 1
-    rank = namb - hits.count(0)
+    rank = len(hits) - hits.count(0)
     return {
-        "ambient_classes": namb,
-        "sub_classes": len(sub_of),
-        "empty": sum(1 for h in hits if h == 0),
-        "bijective": sum(1 for h in hits if h == 1),
-        "splitting": sum(1 for h in hits if h >= 2),
-        "max_split": max(hits) if hits else 0,
+        "ambient_classes": len(hits),
+        "sub_classes": sum(hits),
+        "empty": hits.count(0),
+        "bijective": hits.count(1),
+        "splitting": rank - hits.count(1),
+        "max_split": max(hits, default=0),
         "image_rank": rank,
-        "kernel_dim": namb - rank,
-        "surjective": rank == len(sub_of),
+        "kernel_dim": hits.count(0),
+        "surjective": rank == sum(hits),
     }
 
 
@@ -205,7 +280,18 @@ class DecompositionReport(NamedTuple):
 
 def verify_class_ring_decomposition(pb: PullbackGroup) -> DecompositionReport:
     """Check whether restriction gives Class(G) (x)_{Class(K)} Class(H)
-    ~ Class(Gamma), from the class maps of alpha, beta and the inclusion.
+    ~ Class(Gamma), from the carrier: `decomposition_report` of the class
+    map of the inclusion, with the witness of `is_conjugacy_closed`."""
+    return decomposition_report(pb.alpha, pb.beta, _carrier_hits(pb.incl),
+                                is_conjugacy_closed(pb.incl)[1])
+
+
+def decomposition_report(alpha: Homomorphism, beta: Homomorphism,
+                         hits: list[int],
+                         witness: Optional[tuple]) -> DecompositionReport:
+    """The decomposition verdict from the class maps of alpha and beta and
+    `hits`, the number of Gamma-classes over each class pair of G x H
+    (`class_pair_splitting`); `witness` is reported as given.
 
     The relation for K-class x and the indicator pair (rho, gam) is
     ([alpha(rho) = x] - [beta(gam) = x]) e_rho (x) e_gam, so the relations
@@ -216,20 +302,16 @@ def verify_class_ring_decomposition(pb: PullbackGroup) -> DecompositionReport:
     so the map's rank is the number of pairs that Gamma-classes meet, and
     the relations die iff every met pair lies over one K-class.
     """
-    over_K_G, over_K_H = pb.alpha.class_map, pb.beta.class_map
+    over_K_G, over_K_H = alpha.class_map, beta.class_map
     count_G, count_H = Counter(over_K_G), Counter(over_K_H)
     quotient_dim = sum(count_G[x] * count_H[x] for x in count_G)
     # product classes are (G-class, H-class) pairs in lexicographic order
-    kH = pb.H.classes.num_classes
-    met = {divmod(a, kH) for a in pb.incl.class_map}
+    met = [divmod(p, len(over_K_H)) for p, n in enumerate(hits) if n]
     if any(over_K_G[rho] != over_K_H[gam] for rho, gam in met):
         raise AssertionError("tensor relation does not vanish on the carrier")
-    kC = pb.carrier.classes.num_classes
-    map_rank = len(met)
-    closed, witness = is_conjugacy_closed(pb.incl)
-    iso = (map_rank == kC and quotient_dim == map_rank)
-    return DecompositionReport(closed, witness, quotient_dim,
-                               map_rank, kC, iso)
+    kC, map_rank = sum(hits), len(met)
+    return DecompositionReport(max(hits) < 2, witness, quotient_dim, map_rank,
+                               kC, map_rank == kC == quotient_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wreathfock import catalog, cli, ratlinalg
+from wreathfock import catalog, cli, groups, pullback, ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
 from wreathfock.fock import change_of_basis
@@ -126,6 +126,43 @@ def test_pullback_verify_iso_scenario(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] == 24 and doc["is_isomorphism"] is True
+
+
+@pytest.mark.parametrize("source", [
+    ["--scenario", str(SCENARIOS / "d12_dic3.json")],
+    ["--scenario", str(SCENARIOS / "c2xc3_trivial.json")],
+    ["--G", "S6", "--H", "S6", "--K", "trivial"],
+], ids=["d12-dic3", "c2xc3-trivial", "S6-S6-trivial"])
+def test_closed_pullback_commands_build_no_carrier(monkeypatch, capsys,
+                                                   source):
+    """The verdicts of a closed pullback are class data of G, H and K: with
+    the carrier and every direct product refused, all three commands still
+    answer, also where |G x H| = 518 400 is above the element cap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class-level verdict built a carrier")
+
+    monkeypatch.setattr(cli, "build_pullback", refuse)
+    monkeypatch.setattr(groups, "direct_product", refuse)
+    monkeypatch.setattr(pullback, "direct_product", refuse)
+    docs = {}
+    for command in ("build", "check-closed", "verify-iso"):
+        assert main(["pullback", command, *source, "--format", "json"]) == 0
+        docs[command] = json.loads(capsys.readouterr().out)
+    assert docs["check-closed"]["conj_closed"] is True
+    assert docs["verify-iso"]["is_isomorphism"] is True
+    assert docs["build"]["num_classes"] == \
+        docs["verify-iso"]["carrier_classes"]
+    if source[0] == "--G":
+        assert docs["build"]["order"] == docs["verify-iso"]["order"] == 518400
+        assert docs["build"]["num_classes"] == 121
+
+
+def test_pullback_that_is_not_closed_builds_the_carrier_for_its_witness(
+        capsys):
+    assert main(["pullback", "check-closed", "--scenario",
+                 str(SCENARIOS / "s3xs3.json"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == \
+        ["(2, 2)", "(2, 5)"]
 
 
 @pytest.mark.parametrize("content,shown", [

@@ -1,4 +1,8 @@
+import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +10,14 @@ from hypothesis import strategies as st
 
 from test_groups import perm_groups
 from wreathfock import ratlinalg
-from wreathfock.catalog import catalog_group
+from wreathfock.catalog import catalog_group, hom_from_json
 from wreathfock.classfun import indicator, pullback_along
 from wreathfock.cli import main
 from wreathfock.groups import (Permutation, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
-from wreathfock.pullback import (_wreath_split, build_pullback, fusion_pattern,
+from wreathfock.pullback import (_wreath_split, build_pullback,
+                                 class_pair_splitting, fusion_pattern,
                                  is_conjugacy_closed, n_cycle_classes_closed,
                                  n_cycle_closed_brute, restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
@@ -50,20 +55,26 @@ def test_pullback_membership(gamma, S3, C2):
         assert sgn(g) == sgn(h)
 
 
+# the carrier route and the class route refuse the same maps
+ROUTES = (build_pullback, class_pair_splitting)
+
+
 def test_pullback_needs_common_codomain(S3, C2, C3):
     sgn = _sign(S3, C2)
     to_c3 = _collapse(C3, catalog_group("trivial"))
-    with pytest.raises(ValueError):
-        build_pullback(sgn, to_c3)
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="must land in the same group"):
+            route(sgn, to_c3)
 
 
 def test_pullback_needs_surjective_maps(S3, C2):
     sgn = _sign(S3, C2)
     non_onto = hom_from_generator_images(C2, [1], S3, [0])
-    with pytest.raises(ValueError):
-        build_pullback(hom_from_generator_images(S3, S3.generator_indices,
-                                                 S3, S3.generator_indices),
-                       non_onto)
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="surjective structure maps"):
+            route(hom_from_generator_images(S3, S3.generator_indices,
+                                            S3, S3.generator_indices),
+                  non_onto)
 
 
 def test_sign_pullback_not_conjugacy_closed(gamma, S3):
@@ -222,8 +233,13 @@ odd_perm_groups = small_perm_groups.filter(
 
 def check_against_oracles(pb):
     """Every closed-form verdict on pb equals its exact-rank or element-scan
-    oracle, and every tensor relation vanishes on the restriction images."""
+    oracle, every tensor relation vanishes on the restriction images, and
+    the double-coset counts are the carrier classes in each ambient class."""
     G, H = pb.G, pb.H
+    in_ambient = [0] * pb.product.classes.num_classes
+    for a in pb.incl.class_map:
+        in_ambient[a] += 1
+    assert class_pair_splitting(pb.alpha, pb.beta) == in_ambient
     rep = verify_class_ring_decomposition(pb)
     pres = tensor_over_classk(pb)
     assert rep.quotient_dim == pres.quotient_dim
@@ -267,13 +283,66 @@ def test_carrier_members_are_the_scanned_pairs(k, data):
     assert [pb.incl(i) for i in range(pb.order)] == scan
 
 
-# sign pullbacks of catalog groups, where most are not closed
-@pytest.mark.parametrize("g,h", [("S3", "S3"), ("S3", "D8"), ("C4", "D12"),
-                                 ("D8", "D12"), ("S4", "D8"), ("S4", "S4")])
-def test_sign_pullbacks_match_rank_oracles(g, h):
-    C2 = catalog_group("C2")
+SCENARIO_MAPS = json.loads((Path(__file__).resolve().parent.parent / "demos"
+                            / "scenarios" / "d12_dic3.json").read_text())
+PAIRINGS = [frozenset(map(frozenset, p))
+            for p in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))]
+
+
+def _to_s3(G, S3):
+    """S4 onto S3 by its action on the three pairings of {0, 1, 2, 3}; D12
+    and Dic3 by the maps of the bundled scenario."""
+    if G.label != "S4":
+        key = "alpha" if G.label == SCENARIO_MAPS["G"] else "beta"
+        return hom_from_json(SCENARIO_MAPS[key], dom=G, cod=S3)
+    gens = G.generator_indices
+    images = [Permutation(tuple(
+        PAIRINGS.index(frozenset(frozenset(map(G.elements[g], pair))
+                                 for pair in pairing))
+        for pairing in PAIRINGS)) for g in gens]
+    return hom_from_generator_images(G, gens, S3, map(S3.index_of, images))
+
+
+# Sign pullbacks of catalog groups, where most are not closed, and two over
+# the non-abelian S3: S4 x_S3 S4 is not closed, D12 x_S3 Dic3 is.
+@pytest.mark.parametrize("g,h,k", [
+    ("S3", "S3", "C2"), ("S3", "D8", "C2"), ("C4", "D12", "C2"),
+    ("D8", "D12", "C2"), ("S4", "D8", "C2"), ("S4", "S4", "C2"),
+    ("S4", "S4", "S3"), ("D12", "Dic3", "S3")],
+    ids=["S3-S3", "S3-D8", "C4-D12", "D8-D12", "S4-D8", "S4-S4",
+         "S4-S4-pairings", "D12-Dic3-scenario"])
+def test_sign_pullbacks_match_rank_oracles(g, h, k):
+    K = catalog_group(k)
+    to_k = _to_k if k == "C2" else _to_s3
     G, H = catalog_group(g), catalog_group(h)
-    check_against_oracles(build_pullback(_to_k(G, C2), _to_k(H, C2)))
+    pb = build_pullback(to_k(G, K), to_k(H, K))
+    check_against_oracles(pb)
+    if k == "S3":       # S4 x_S3 S4 is not closed, D12 x_S3 Dic3 is
+        assert is_conjugacy_closed(pb.incl)[0] == (g == "D12")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_count_is_commuting_pairs_over_order(n):
+    """k(Gamma) = |{commuting pairs of Gamma}| / |Gamma| for Gamma =
+    S_n x_C2 S_n along the sign maps.  Two pairs (x, y), (x', y') of Gamma
+    commute iff x, x' and y, y' do, so the pairs are counted from the
+    commuting pairs of S_n with matching signs; no carrier is built."""
+    C2, S = catalog_group("C2"), catalog_group(f"S{n}")
+    sgn = _to_k(S, C2)
+    by_sign = Counter((x.sign(), y.sign())
+                      for x, y in product(S.elements, S.elements)
+                      if x * y == y * x)
+    commuting = sum(c * c for c in by_sign.values())
+    gamma_order = S.order * S.order // 2
+    assert commuting % gamma_order == 0
+    assert sum(class_pair_splitting(sgn, sgn)) == commuting // gamma_order
+
+
+def test_s6_sign_pullback_class_count():
+    C2, S6 = catalog_group("C2"), catalog_group("S6")
+    sgn = _to_k(S6, C2)
+    hits = class_pair_splitting(sgn, sgn)
+    assert (sum(hits), max(hits)) == (62, 2)
 
 
 # Over C2 an ambient class holds at most two carrier classes.  These
