@@ -86,8 +86,7 @@ catalog_group.__wrapped__ = _build_catalog_group.__wrapped__
 def _dic3() -> FiniteGroup:
     # descriptors (i, j) = a^i b^j with i mod 6, j mod 2
     def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
+        (i1, j1), (i2, j2) = x, y
         i = i1 + (-i2 if j1 else i2) + (3 if j1 and j2 else 0)
         return (i % 6, j1 ^ j2)
 
@@ -144,20 +143,27 @@ def group_from_json(doc: dict) -> FiniteGroup:
             got = json.dumps(doc.get(key), default=repr)[:60]
             raise ValueError(f"bad group definition: {key} must be {want}, "
                              f"got {got}")
-    gens = [Permutation(img) for img in images]
-    return group_from_permutation_generators(degree, gens, label=name)
+    return group_from_permutation_generators(degree, images, label=name)
+
+
+class NotJSONError(ValueError):
+    """A file that holds no JSON document: malformed JSON, or bytes that
+    are not UTF-8 text."""
 
 
 def load_json(path):
-    """The JSON document in the file at `path`.  A document nested too
-    deeply for the decoder is a ValueError naming the file, not the
-    decoder's RecursionError."""
-    with open(path) as fh:
-        text = fh.read()
+    """The JSON document in the file at `path`.  Every way the file can
+    fail to decode is a ValueError naming the file: a NotJSONError for
+    malformed JSON or bytes that are not UTF-8 text, and a plain
+    ValueError, not the decoder's RecursionError, for a document nested
+    too deeply."""
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise NotJSONError(f"{path}: not valid JSON: {e}") from None
 
 
 def load_group_file(path) -> FiniteGroup:

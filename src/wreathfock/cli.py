@@ -14,8 +14,9 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .catalog import (catalog_group, is_catalog_name, load_group_file,
-                      load_hom_file, load_json, hom_from_json, resolve_group)
+from .catalog import (NotJSONError, catalog_group, is_catalog_name,
+                      load_group_file, load_hom_file, load_json,
+                      hom_from_json, resolve_group)
 from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
@@ -203,8 +204,8 @@ def _load_scenario_file(path):
     ValueError naming the file and, where one is at fault, the key."""
     try:
         doc = load_json(path)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"scenario {path}: not valid JSON: {e}") from None
+    except NotJSONError as e:
+        raise ValueError(f"scenario {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"scenario {path}: expected a JSON object with "
                          f"keys G, H and K, got {json.dumps(doc)[:60]}")
@@ -287,8 +288,7 @@ def cmd_pullback_verify_iso(args) -> int:
     alpha, beta, hits = _load_scenario(args)
     rep = decomposition_report(alpha, beta, hits, _witness(alpha, beta, hits))
     G, H, K, order = _header(alpha, beta)
-    doc = {"G": G, "H": H, "K": K, "order": order}
-    doc.update(rep.to_json())
+    doc = {"G": G, "H": H, "K": K, "order": order, **rep.to_json()}
     lines = [f"pullback {G} x_{K} {H}: order {order}",
              f"conjugacy-closed: {rep.conj_closed}",
              f"tensor quotient dim: {rep.quotient_dim}",

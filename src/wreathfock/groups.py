@@ -18,12 +18,18 @@ reads the factors' columns at i*|H| + j, a subgroup the ambient column,
 and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
 columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).  Those
 constructions derive their inverse arrays the same way.
-Every walk is a breadth-first queue, a list that grows while it is read.
+Every walk is a breadth-first queue, a list that grows while it is read,
+and every orbit split is one `_orbit_partition`: the conjugacy classes and
+the double cosets that `pullback` counts.
 The Cayley table, `verify` and the conjugacy classes walk one generating
 set per group (`FiniteGroup._spanning_generators`): the permutation
 closure, `subgroup` and `direct_product` record the one their construction
 proves, any other group decides it once, since stored generators need not
 generate the group.
+Conjugacy classes take one class-data form (`ConjugacyClasses`): sizes, a
+classifier of descriptors, and representatives and a class array made on
+first use.  Orbit-computed groups hold their array from the start; direct
+products and wreath levels make it only when it is read.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
@@ -41,7 +47,7 @@ import os
 import random
 from array import array
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 200_000
 TABLE_LIMIT = 4096
@@ -226,25 +232,24 @@ class ConjugacyClasses:
     Orbit-computed classes are ordered by least member index; direct products
     use lexicographic pairs of factor classes; wreath groups use their
     cycle-type order.  Either way the indexing is reproducible.
+
+    Every construction passes one form: the class sizes, `classify`
+    (descriptor -> class index), `make_rep_descs()` and, optionally,
+    `make_class_of()`; the last two make the representatives and the
+    class_of array on first use, and without `make_class_of` the array
+    classifies every element.  Until the array exists, `class_of_index`
+    classifies the one element.  Orbit-computed groups hold their array
+    from the start; products and wreath levels make it only when read.
     """
 
-    def __init__(self, group, sizes, rep_descs=None, *, class_of=None,
-                 classifier=None, make_class_of=None, make_rep_descs=None):
-        # make_class_of(), if given, makes the class_of array on first use
-        # without classifying elements one by one (direct products);
-        # make_rep_descs(), given in place of rep_descs, makes the
-        # representatives on first use (wreath levels)
+    def __init__(self, group, sizes, classify, make_rep_descs,
+                 make_class_of=None):
         self.group = group
         self.sizes = tuple(sizes)
-        self._rep_descs = None if rep_descs is None else tuple(rep_descs)
+        self._classify = classify
         self._make_rep_descs = make_rep_descs
-        self._class_of = class_of
-        self._classifier = classifier
         self._make_class_of = make_class_of
-        if class_of is None and classifier is None:
-            raise ValueError("need a class_of array or a classifier")
-        if rep_descs is None and make_rep_descs is None:
-            raise ValueError("need rep_descs or make_rep_descs")
+        self._rep_descs = self._class_of = None
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -257,22 +262,18 @@ class ConjugacyClasses:
     def class_of(self) -> Sequence[int]:
         """Class index per element index (materializes the whole array)."""
         if self._class_of is None:
-            if self._make_class_of is not None:
-                self._class_of = self._make_class_of()
-            else:
-                self._class_of = array("i", map(self._classifier,
-                                                self.group.elements))
+            self._class_of = (self._make_class_of() if self._make_class_of
+                              else array("i", map(self._classify,
+                                                  self.group.elements)))
         return self._class_of
 
     def class_of_index(self, i: int) -> int:
         if self._class_of is not None:
             return self._class_of[i]
-        return self._classifier(self.group.elements[i])
+        return self._classify(self.group.elements[i])
 
     def class_of_desc(self, desc) -> int:
-        if self._classifier is not None:
-            return self._classifier(desc)
-        return self.class_of[self.group.index_of(desc)]
+        return self._classify(desc)
 
     @property
     def rep_descs(self) -> tuple:
@@ -486,8 +487,10 @@ class FiniteGroup:
     def classes(self) -> ConjugacyClasses:
         if self._classes is None:
             class_of, rep_descs, sizes = conjugation_orbits(self)
-            self._classes = ConjugacyClasses(self, sizes, rep_descs,
-                                             class_of=class_of)
+            self._classes = ConjugacyClasses(
+                self, sizes, lambda d: class_of[self.index_of(d)],
+                lambda: rep_descs)
+            self._classes._class_of = class_of
         return self._classes
 
     def __repr__(self) -> str:
@@ -548,52 +551,50 @@ def conjugation_orbits(G: FiniteGroup, gens=None):
     classes ordered by least member index, so representatives are the least
     index in each class.
     """
-    orbit_of = _conjugation_orbit(
-        G, G._spanning_generators() if gens is None else gens)
-    class_of = array("i", [-1] * G.order)
-    rep_descs, sizes = [], []
-    for seed in range(G.order):
-        if class_of[seed] >= 0:
-            continue
-        k = len(rep_descs)
-        rep_descs.append(G.elements[seed])
-        orbit = orbit_of(seed)
+    orbits = _orbit_partition(range(G.order), _conjugation_steps(
+        G, G._spanning_generators() if gens is None else gens))
+    class_of = array("i", bytes(4 * G.order))
+    for k, orbit in enumerate(orbits):
         for y in orbit:
             class_of[y] = k
-        sizes.append(len(orbit))
-    return class_of, rep_descs, sizes
+    return (class_of, [G.elements[orbit[0]] for orbit in orbits],
+            [len(orbit) for orbit in orbits])
 
 
-def _conjugation_orbit(G: FiniteGroup, gens) -> Callable[[int], list[int]]:
-    """The orbit map x -> [x under conjugation by <gens>], each orbit walked
-    breadth-first along x -> g^-1*x*g for g in gens.
-
-    Each step is one lookup in an index sequence made once per generator,
-    by three whole-column gathers: with c the column of g itself and inv
-    the inverse array, g^-1*x*g = c[inv[c[inv[x]]]].  No column of g^-1 is
-    made, so the orbits cost no native product where the columns of gens
-    exist.
-    """
+def _conjugation_steps(G: FiniteGroup, gens) -> list[tuple]:
+    """The index sequences x -> g^-1*x*g for g in gens, each made by three
+    whole-column gathers: with c the column of g itself and inv the inverse
+    array, g^-1*x*g = c[inv[c[inv[x]]]].  No column of g^-1 is made, so
+    they cost no native product where the columns of gens exist."""
     inv = G._inverse_array()
-    return _orbit_walk([_gather(c, _gather(inv, _gather(c, inv)))
-                        for c in map(G.column, gens)])
+    return [_gather(c, _gather(inv, _gather(c, inv)))
+            for c in map(G.column, gens)]
 
 
-def _orbit_walk(steps) -> Callable[[int], list[int]]:
-    """The orbit map x -> [x under the group the steps generate], each step
-    an index sequence that permutes the element indices, each orbit walked
-    breadth-first along x -> step[x]."""
-    def orbit_of(seed: int) -> list[int]:
-        orbit, seen = [seed], {seed}
+def _orbit_partition(seeds, steps) -> list[list[int]]:
+    """The orbits of the group the steps generate that meet `seeds`, each
+    step an index sequence that permutes the element indices.
+
+    One orbit per seed outside the orbits before it, in seed order, walked
+    breadth-first from that seed along x -> step[x], so the seed comes
+    first: with seeds in increasing order, each orbit starts at its least
+    seed.  Conjugacy classes and double cosets are both such partitions.
+    """
+    seen: set[int] = set()
+    orbits = []
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        orbit = [seed]
         for x in orbit:
             for step in steps:
                 y = step[x]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        return orbit
-
-    return orbit_of
+        orbits.append(orbit)
+    return orbits
 
 
 def find_generators(G: FiniteGroup) -> list[int]:
@@ -715,12 +716,11 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     P._inverses = array("i", pairs(G._inverse_array(), H._inverse_array()))
     cG, cH = G.classes, H.classes
     kH = cH.num_classes
-    sizes = [sa * sb for sa in cG.sizes for sb in cH.sizes]
-    rep_descs = [(ra, rb) for ra in cG.reps for rb in cH.reps]
     P._classes = ConjugacyClasses(
-        P, sizes, rep_descs,
-        classifier=lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]),
-        make_class_of=lambda: array("i", pairs(cG.class_of, cH.class_of, kH)))
+        P, [sa * sb for sa in cG.sizes for sb in cH.sizes],
+        lambda d: cG.class_of_index(d[0]) * kH + cH.class_of_index(d[1]),
+        lambda: [(ra, rb) for ra in cG.reps for rb in cH.reps],
+        lambda: array("i", pairs(cG.class_of, cH.class_of, kH)))
     proj_G = Homomorphism(P, G, [i for i in range(nG) for _ in range(nH)],
                           label="first projection")
     proj_H = Homomorphism(P, H, list(range(nH)) * nG,

@@ -8,10 +8,12 @@ isomorphism  Class(G) (x)_{Class(K)} Class(H)  ->  Class(Gamma).
 
 Every verdict is read off `hits`, the number of Gamma-classes over each
 class pair of G x H.  `class_pair_splitting` counts them as double cosets
-in K, from classes and centralizers of G, H and K, so neither G x H nor
-Gamma is built.  The carrier (`build_pullback`) is the oracle: its
-inclusion's class map gives the same counts, and it alone supplies the
-witness of a pullback that is not closed.  The tensor dimension, the rank
+in K (orbits of `groups._orbit_partition`), from classes and centralizers
+of G, H and K, so neither G x H nor Gamma is built.  The carrier
+(`build_pullback`) is the oracle: its inclusion's class map gives the same
+counts (`_carrier_hits`), which `is_conjugacy_closed`, `fusion_pattern` and
+`verify_class_ring_decomposition` read, and it alone supplies the witness
+of a pullback that is not closed.  The tensor dimension, the rank
 of the restriction map and conjugacy-closedness all have closed forms in
 `hits` and the class maps of alpha and beta.  The relation and restriction
 matrices stay available (`tensor_over_classk`, `restriction_map_matrix`) as
@@ -27,9 +29,9 @@ from typing import NamedTuple, Optional
 
 from . import ratlinalg
 from .classfun import indicator, pullback_along
-from .groups import (FiniteGroup, Homomorphism, _conjugation_orbit, _gather,
-                     _orbit_walk, centralizer, compose_homs, direct_product,
-                     find_generators_on, subgroup)
+from .groups import (FiniteGroup, Homomorphism, _conjugation_steps, _gather,
+                     _orbit_partition, centralizer, compose_homs,
+                     direct_product, find_generators_on, subgroup)
 from .wreath import (WreathElement, WreathGroup, _colored_partitions,
                      quotient_to_symmetric, split_type, wreath_group)
 
@@ -134,18 +136,12 @@ def _double_cosets(K: FiniteGroup, A: list, C: list, B: list) -> int:
     by its element indices, A and B in increasing order.  Each double coset
     A c B is the orbit of c under x -> x*b and x -> a^-1*x = inv[inv[x]*a]
     for generators b of B and a of A, each step an index sequence made from
-    K's column of the generator (`groups._orbit_walk`)."""
+    K's column of the generator (`groups._orbit_partition`)."""
     inv = K._inverse_array()
     steps = [K.column(B[p]) for p in find_generators_on(K, B)] + [
         _gather(inv, _gather(K.column(A[p]), inv))
         for p in find_generators_on(K, A)]
-    orbit_of = _orbit_walk(steps)
-    seen, count = set(), 0
-    for c in C:
-        if c not in seen:
-            count += 1
-            seen.update(orbit_of(c))
-    return count
+    return len(_orbit_partition(C, steps))
 
 
 def _carrier_hits(incl: Homomorphism) -> list[int]:
@@ -169,17 +165,16 @@ def is_conjugacy_closed(incl: Homomorphism):
     Returns (True, None) or (False, (x, y)) with a witness pair of ambient
     descriptors: conjugate in the ambient group, both inside the subgroup,
     not conjugate there.  x represents the first subgroup class (in class
-    order) whose ambient class holds another, y the least-indexed other.
+    order) whose ambient class holds another (`_carrier_hits`), y the next
+    one in that ambient class.
     """
-    by_ambient: dict[int, list[int]] = {}
-    for j, a in enumerate(incl.class_map):
-        by_ambient.setdefault(a, []).append(j)
-    shared = [js for js in by_ambient.values() if len(js) > 1]
-    if not shared:
+    amb, hits = incl.class_map, _carrier_hits(incl)
+    j = next((j for j, a in enumerate(amb) if hits[a] > 1), None)
+    if j is None:
         return True, None
-    j, other = min(shared)[:2]
     reps = incl.dom.classes.rep_descs
-    return False, (incl.map_desc(reps[j]), incl.map_desc(reps[other]))
+    return False, (incl.map_desc(reps[j]),
+                   incl.map_desc(reps[amb.index(amb[j], j + 1)]))
 
 
 def restriction_map_matrix(incl: Homomorphism):
@@ -399,14 +394,15 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
         parts = tuple(pair_index[(a, b)] for a, b in zip(xa.parts, xb.parts))
         return WreathElement(parts, xa.perm)
 
-    orbit_of = _conjugation_orbit(amb, amb.generator_indices)
+    steps = _conjugation_steps(amb, amb.generator_indices)
     out = []
     for idx, t in enumerate(W.types):
         if not (len(t.entries) == 1 and t.entries[0][0] == n
                 and t.entries[0][2] == 1):
             continue
         closed = True
-        for y in orbit_of(split(W.classes.rep_descs[idx])):
+        for y in _orbit_partition([split(W.classes.rep_descs[idx])],
+                                  steps)[0]:
             w = joint(amb.elements[y])
             if w is not None and W.classes.class_of_desc(w) != idx:
                 closed = False

@@ -210,24 +210,10 @@ def inverse(rows):
 
 
 def span_select(vectors):
-    """Rank of a family plus the indices of a spanning subfamily.
-
-    Vectors are scanned in order and kept when independent of those already
-    kept, so the selection is deterministic.
+    """Rank of a family plus the indices of a spanning subfamily: the pivot
+    columns of `rref` on the vectors taken as columns, so each vector is
+    kept when independent of those before it and the selection is
+    deterministic.
     """
-    basis = []  # (pivot column, reduced vector)
-    selected = []
-    for idx, vec in enumerate(vectors):
-        v = _fractions(vec)
-        for pc, b in basis:
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * c for a, c in zip(v, b)]
-        pc = next((c for c, x in enumerate(v) if x != 0), None)
-        if pc is None:
-            continue
-        inv = ONE / v[pc]
-        v = [x * inv for x in v]
-        basis.append((pc, v))
-        selected.append(idx)
-    return len(selected), selected
+    pivots = rref(list(zip(*vectors)))[1]
+    return len(pivots), pivots

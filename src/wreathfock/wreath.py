@@ -45,16 +45,16 @@ class TypeMatrix:
     def __init__(self, entries):
         if isinstance(entries, dict):
             entries = [(r, c, m) for (r, c), m in entries.items()]
-        # each entry is checked before repeated (r, c) pairs are summed
+        # each entry, zero multiplicities included, is checked before
+        # repeated (r, c) pairs are summed and zero sums dropped
         merged: list = []
-        for r, c, m in sorted((int(r), int(c), int(m))
-                              for r, c, m in entries if m):
-            if r < 1 or c < 0 or m < 1:
+        for r, c, m in sorted((int(r), int(c), int(m)) for r, c, m in entries):
+            if r < 1 or c < 0 or m < 0:
                 raise ValueError(f"bad type entry ({r}, {c}, {m})")
             if merged and merged[-1][:2] == (r, c):
                 m += merged.pop()[2]
             merged.append((r, c, m))
-        self.entries = tuple(merged)
+        self.entries = tuple(e for e in merged if e[2])
 
     @classmethod
     def _unchecked(cls, entries: tuple) -> "TypeMatrix":
@@ -303,8 +303,7 @@ class WreathGroup(FiniteGroup):
                 raise ValueError(f"{d!r} is not an element of {self.label}") from None
 
         self._classes = ConjugacyClasses(
-            self, sizes, classifier=classify,
-            make_rep_descs=lambda: _type_reps(base, n, types))
+            self, sizes, classify, lambda: _type_reps(base, n, types))
 
     def _enumerate(self):
         perms = [Permutation._unchecked(p) for p in self._slot_perms]

@@ -406,6 +406,24 @@ def test_well_formed_type_is_accepted(capsys, argv, flag):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv,flag,bad,entry", [
+    (["wreath", "centralizer", "C2", "1"], "--type", [-3, 0, 0], "(-3, 0, 0)"),
+    (["fock", "product", "C2"], "--monomial", [0, -4, 0], "(0, -4, 0)"),
+])
+def test_every_type_entry_is_checked_before_zeros_are_dropped(
+        capsys, argv, flag, bad, entry):
+    # a zero multiplicity on a valid (r, c) is still dropped, so the type
+    # prints as [[1, 0, 1]]
+    assert main(argv + [flag, "[[1,0,1]]"]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + [flag, "[[1,0,1],[2,1,0]]"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(argv + [flag, json.dumps([[1, 0, 1], bad])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag}: bad type entry {entry}\n"
+
+
 @pytest.mark.parametrize("argv,name", [
     (["wreath", "classes", "C2", "-1"], "n"),
     (["wreath", "centralizer", "C2", "-2", "--type", "[]"], "n"),
@@ -571,6 +589,32 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, shown):
     assert out == ""
     assert err == (f"error: {shown.replace('{file}', str(path))}: "
                    "JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "info", "{file}"],
+    ["group", "classes", "--file", "{file}"],
+    ["pullback", "build", "--G", "S3", "--H", "S3", "--K", "trivial",
+     "--alpha", "{file}"],
+    ["pullback", "build", "--G", "S3", "--H", "S3", "--K", "trivial",
+     "--beta", "{file}"],
+], ids=["group-file", "file-flag", "alpha", "beta"])
+@pytest.mark.parametrize("content,shown", [
+    (b'{"name": "C2", "degree" 2}',
+     "Expecting ':' delimiter: line 1 column 25 (char 24)"),
+    (b'{"name": "C\xff2"}',
+     "'utf-8' codec can't decode byte 0xff in position 11: "
+     "invalid start byte"),
+], ids=["malformed", "not-utf-8"])
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, argv, content,
+                                          shown):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: not valid JSON: {shown}\n"
 
 
 @pytest.mark.parametrize("key", ["alpha", "beta"])

@@ -11,7 +11,7 @@ from wreathfock.groups import (FiniteGroup, Homomorphism,
                                conjugation_orbits, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
-from wreathfock.wreath import wreath_group
+from wreathfock.wreath import WreathGroup, wreath_group
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -598,6 +598,68 @@ def test_conjugation_orbits_are_the_conjugacy_classes(G, H, data):
     extra = data.draw(st.integers(0, G.order - 1))
     again = conjugation_orbits(G, list(G.generator_indices) + [extra])
     assert list(again[0]) == list(conjugation_orbits(G)[0])
+
+
+def orbit_loop(G, gens):
+    """Oracle for `conjugation_orbits`: the array-marked orbit loop.  Each
+    element not yet marked seeds an orbit, walked breadth-first along
+    x -> g^-1*x*g (native products) with a set of its own, and its members
+    are marked with the next class index."""
+    steps = [[G.mul(G.mul(G.inv(g), x), g) for x in range(G.order)]
+             for g in gens]
+    class_of = [-1] * G.order
+    rep_descs, sizes = [], []
+    for seed in range(G.order):
+        if class_of[seed] >= 0:
+            continue
+        k = len(rep_descs)
+        rep_descs.append(G.elements[seed])
+        orbit, seen = [seed], {seed}
+        for x in orbit:
+            for step in steps:
+                y = step[x]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        for y in orbit:
+            class_of[y] = k
+        sizes.append(len(orbit))
+    return class_of, rep_descs, sizes
+
+
+SMALL_LEVELS = [("trivial", 3), ("C2", 2), ("C2", 3), ("C3", 2), ("S3", 2),
+                ("C4", 2)]
+
+
+@walk_settings
+@given(perm_groups(), st.sampled_from(SMALL_LEVELS), st.data())
+def test_orbit_partition_is_the_array_marked_orbit_loop(G, level, data):
+    table = native_table(G)
+    groups_ = [G] + small_subgroups(G, table, data)
+    groups_.append(WreathGroup(catalog_group(level[0]), level[1]))
+    for A in groups_:
+        gens = A._spanning_generators()
+        class_of, rep_descs, sizes = conjugation_orbits(A)
+        assert (list(class_of), rep_descs, sizes) == orbit_loop(A, gens)
+    # a generating set with a repeat and an extra element
+    extra = data.draw(st.integers(0, G.order - 1))
+    gens = list(G.generator_indices) * 2 + [extra]
+    class_of, rep_descs, sizes = conjugation_orbits(G, gens)
+    assert (list(class_of), rep_descs, sizes) == orbit_loop(G, gens)
+
+
+def test_closure_classes_hold_their_class_array(monkeypatch):
+    G = group_from_permutation_generators(
+        5, [Permutation.from_cycles(5, [(0, 1)]),
+            Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])], label="S5")
+    expected = list(conjugation_orbits(G)[0])
+    classes = G.classes
+
+    def refuse(desc):
+        raise AssertionError("class_of_index looked up an element")
+
+    monkeypatch.setattr(G, "index_of", refuse)
+    assert [classes.class_of_index(i) for i in range(G.order)] == expected
 
 
 @walk_settings

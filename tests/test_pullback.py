@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_groups import perm_groups
+from test_groups import SMALL_LEVELS, closure, native_table, perm_groups
 from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group, hom_from_json
 from wreathfock.classfun import indicator, pullback_along
@@ -22,7 +22,7 @@ from wreathfock.pullback import (_wreath_split, build_pullback,
                                  n_cycle_closed_brute, restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
                                  verify_class_ring_decomposition)
-from wreathfock.wreath import WreathElement, wreath_group
+from wreathfock.wreath import WreathElement, WreathGroup, wreath_group
 
 
 def _sign(S3, C2):
@@ -365,6 +365,52 @@ def test_subgroup_closedness_matches_element_scan(degree, sub_gens):
     assert is_conjugacy_closed(incl) == element_scan_closed(incl)
     assert fusion_pattern(incl)["image_rank"] == \
         ratlinalg.rank(restriction_map_matrix(incl))
+
+
+def by_ambient_rule(incl):
+    """Oracle for `is_conjugacy_closed`: group the subgroup classes by the
+    ambient class they lie in; the group with the least first class among
+    those of two or more gives the witness, its first two classes."""
+    by_ambient: dict[int, list[int]] = {}
+    for j, a in enumerate(incl.class_map):
+        by_ambient.setdefault(a, []).append(j)
+    shared = [js for js in by_ambient.values() if len(js) > 1]
+    if not shared:
+        return True, None
+    j, other = min(shared)[:2]
+    reps = incl.dom.classes.rep_descs
+    return False, (incl.map_desc(reps[j]), incl.map_desc(reps[other]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(perm_groups(), st.sampled_from(SMALL_LEVELS), st.data())
+def test_closedness_witness_is_the_by_ambient_rule(G, level, data):
+    W = WreathGroup(catalog_group(level[0]), level[1])
+    t = W.cayley_table()
+    for A, table in ((G, native_table(G)),
+                     (W, [t[i * W.order:(i + 1) * W.order]
+                          for i in range(W.order)])):
+        picks = data.draw(st.lists(st.integers(0, A.order - 1), min_size=1,
+                                   max_size=2))
+        incl = subgroup(A, closure(table, picks))[1]
+        assert is_conjugacy_closed(incl) == by_ambient_rule(incl)
+
+
+@pytest.mark.parametrize("base,n", [("C2", 3), ("C4", 2), ("S3", 2),
+                                    ("D8", 2)])
+def test_closedness_witness_on_every_two_generated_subgroup(base, n):
+    W = WreathGroup(catalog_group.__wrapped__(base), n)
+    t = W.cayley_table()
+    table = [t[i * W.order:(i + 1) * W.order] for i in range(W.order)]
+    subsets = {frozenset(closure(table, [a, b]))
+               for a in range(W.order) for b in range(a, W.order)}
+    choices = 0
+    for members in subsets:
+        incl = subgroup(W, members)[1]
+        assert is_conjugacy_closed(incl) == by_ambient_rule(incl)
+        counts = Counter(incl.class_map).values()
+        choices += max(counts) > 2 or sum(v > 1 for v in counts) > 1
+    assert choices >= 5     # the rule chose among several candidates
 
 
 def test_production_verdicts_run_no_linear_algebra(monkeypatch, capsys,

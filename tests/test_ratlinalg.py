@@ -61,6 +61,53 @@ def test_span_select():
     assert r == 2 and list(picked) == [0, 2]
 
 
+def first_come_span_select(vectors):
+    """Oracle for `span_select`: scan the vectors in order and keep each
+    one that stays nonzero after reduction by the vectors kept so far."""
+    basis = []  # (pivot column, reduced vector)
+    selected = []
+    for idx, vec in enumerate(vectors):
+        v = [F(x) for x in vec]
+        for pc, b in basis:
+            if v[pc] != 0:
+                f = v[pc]
+                v = [a - f * c for a, c in zip(v, b)]
+        pc = next((c for c, x in enumerate(v) if x != 0), None)
+        if pc is None:
+            continue
+        v = [x / v[pc] for x in v]
+        basis.append((pc, v))
+        selected.append(idx)
+    return len(selected), selected
+
+
+@st.composite
+def rational_families(draw):
+    """Up to 7 vectors of one width 0-4: nonzero multiples of a few drawn
+    rational vectors and of the zero vector, so repeats, dependent vectors
+    and zeros occur, and the family may be empty."""
+    width = draw(st.integers(0, 4))
+    entry = st.fractions(-3, 3, max_denominator=4) | st.integers(-2, 2)
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=1, max_size=4)) + [[0] * width]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.sampled_from([1, -2, F(1, 3)])),
+                          max_size=7))
+    return [[c * x for x in pool[i]] for i, c in picks]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_families())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[], []])
+def test_span_select_is_the_first_come_selection(vectors):
+    r, picked = span_select(vectors)
+    assert (r, list(picked)) == first_come_span_select(vectors)
+    assert r == rank(vectors)
+
+
+cell = st.integers(-4, 4).map(F)
 cell = st.integers(-4, 4).map(F)
 mat3 = st.lists(st.lists(cell, min_size=3, max_size=3), min_size=3, max_size=3)
 

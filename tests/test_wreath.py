@@ -45,6 +45,20 @@ def test_type_matrix_rejects_bad_entries():
     assert TypeMatrix({(2, 1): 0}) == TypeMatrix({})
 
 
+@pytest.mark.parametrize("entries", [
+    [(1, 0, 1), (-3, 0, 0)], [(0, 1, 0)], [(2, -1, 0), (2, 1, 1)],
+    {(0, 4): 0}, [(1, 0, 1), (1, 0, -1)],
+])
+def test_type_matrix_checks_entries_of_multiplicity_zero(entries):
+    with pytest.raises(ValueError, match="bad type entry"):
+        TypeMatrix(entries)
+
+
+def test_type_matrix_drops_zero_sums_after_checking():
+    assert TypeMatrix([(1, 0, 1), (2, 1, 0), (2, 1, 0)]).entries == \
+        ((1, 0, 1),)
+
+
 def test_type_matrix_add_merges_multiplicities():
     a = TypeMatrix({(1, 0): 1, (2, 1): 1})
     b = TypeMatrix({(2, 1): 2})
