@@ -24,7 +24,7 @@ from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
 from .pullback import (build_pullback, class_pair_splitting,
                        decomposition_report, is_conjugacy_closed,
                        n_cycle_classes_closed, splitting_pattern)
-from .wreath import TypeMatrix, _colored_partitions, centralizer_order
+from .wreath import TypeMatrix, _colored_partitions, _level, centralizer_order
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -143,15 +143,13 @@ def cmd_group_classes(args) -> int:
 
 
 def cmd_wreath_classes(args) -> int:
-    G = _load_base(args.base)
-    types = _colored_partitions(G.classes.num_classes, args.n)
-    order = G.order ** args.n * math.factorial(args.n)
+    W = _level(_load_base(args.base), args.n)
+    G, types, order = W.base, W.types, W.order
 
     def rows():
-        for k, t in enumerate(types):
-            cent = centralizer_order(G, t)
+        for k, (t, size) in enumerate(zip(types, W.classes.sizes)):
             yield {"index": k, "type": t.to_json(),
-                   "size": order // cent, "centralizer_order": cent}
+                   "size": size, "centralizer_order": order // size}
 
     if args.format == "json":
         # each row is written as it is made; a level can have thousands

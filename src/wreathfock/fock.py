@@ -7,14 +7,22 @@ pair of classes fuses to exactly one class, the entrywise sum of their
 types, so
 
     (f * g)[t] = |C(t)| * sum over t1 + t2 = t of
-                 f[t1] g[t2] / (|C(t1)| |C(t2)|),
+                 f[t1] g[t2] / (|C(t1)| |C(t2)|).
 
-with all centralizer orders given by the product formula.  `_fuse` applies
-this rule to weighted supports, the lists of (t, f[t] / |C(t)|) over the
-types where f is nonzero, so a product visits only the pairs of types in
-the two supports and reads its values off the fused weights.  The literal
-element-sum induction is kept as the ``"elements"`` oracle strategy; the
-two must agree exactly wherever the ambient group is enumerable.
+As |C(t)| is the product over the entries (r, c, m) of t of
+(r |C_G(g_c)|)^m m!, every factor of the ratio cancels but the m! of the
+(r, c) that t1 and t2 share, so the rule is binomial:
+
+    (f * g)[t] = sum over t1 + t2 = t of
+                 f[t1] g[t2] prod over shared (r, c) of binom(m1 + m2, m1).
+
+`_fuse` applies it to integer supports, the (t, d f[t]) over the types
+where f is nonzero, d a common denominator of f's values: a product visits
+only the pairs of types in the two supports, makes each sum and its
+coefficient in one merge of sorted entry tuples (`TypeMatrix.merge`), and
+makes one fraction per value it lays out.  The literal element-sum
+induction is kept as the ``"elements"`` oracle strategy; the two must
+agree exactly wherever the ambient group is enumerable.
 
 The distinguished generators are the indicators of single-n-cycle classes;
 monomials in them, one per colored partition of n, form a basis of level n
@@ -23,7 +31,7 @@ change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
 times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
 returns that closed form; `change_of_basis` multiplies the generators out
 and is its oracle.  Under both strategies it makes one product per
-distinct prefix of generators; by fusion it runs each chain on weighted
+distinct prefix of generators; by fusion it runs each chain on integer
 supports through `_fuse`, with no class function per step, and keeps each
 row on its support, as a `ratlinalg.SparseRow`, through to the
 determinant.
@@ -45,7 +53,7 @@ from .classfun import (ClassFunction, external_product, indicator, induce, one,
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
 from .ratlinalg import SparseRow
-from .wreath import (TypeMatrix, WreathGroup, _colored_partitions, _level,
+from .wreath import (TypeMatrix, WreathGroup, _level, _type_count,
                      class_count_series, embed_product)
 
 DEFAULT_MAX_LEVEL = 4
@@ -58,48 +66,46 @@ def _wreath_of(f: ClassFunction) -> WreathGroup:
     return f.group
 
 
-def _weighted_support(f: ClassFunction) -> list:
-    """(type, f[type] / |C(type)|) for the types where f is nonzero."""
-    W = f.group
-    order = W.order
-    return [(t, v / (order // size))
-            for t, v, size in zip(W.types, f.values, W.classes.sizes) if v]
+def _support(f: ClassFunction) -> tuple[int, list]:
+    """f's nonzero values as integers over one denominator d: (d, the
+    pairs (type, d * f[type]) over the types where f is nonzero)."""
+    support = [(t, v) for t, v in zip(f.group.types, f.values) if v]
+    d = math.lcm(*[v.denominator for _, v in support])
+    return d, [(t, v.numerator * (d // v.denominator)) for t, v in support]
 
 
 def _fuse(fs, gs: list) -> dict:
-    """The fusion rule on weighted supports: {t1 + t2: sum of a * b} over
-    the pairs (t1, a) of fs and (t2, b) of gs, a weight being a value
-    divided by the centralizer order of its type.  fs is read once, gs
+    """The fusion rule on integer supports: {t1 + t2: sum of a * b * binom}
+    over the pairs (t1, a) of fs and (t2, b) of gs, binom the merge
+    coefficient of t1 and t2 (`TypeMatrix.merge`).  fs is read once, gs
     once per pair of fs."""
     acc: dict = {}
     for t1, a in fs:
         for t2, b in gs:
-            t = t1 + t2
-            acc[t] = acc[t] + a * b if t in acc else a * b
+            t, coeff = t1.merge(t2)
+            x = a * b * coeff
+            acc[t] = acc[t] + x if t in acc else x
     return acc
 
 
-def _row(W: WreathGroup, weights: dict) -> SparseRow:
-    """The values on the classes of W of {type: weight}, on their support:
-    each nonzero weight times the centralizer order of its type."""
-    index, order, sizes = W.class_index_of_type, W.order, W.classes.sizes
-    support = {}
-    for t, x in weights.items():
-        if x:
-            k = index(t)
-            support[k] = order // sizes[k] * x
-    return SparseRow(W.classes.num_classes, support)
+def _row(W: WreathGroup, values: dict, d: int) -> SparseRow:
+    """The values on the classes of W of {type: integer}, over the
+    denominator d, on their support."""
+    index = W.class_index_of_type
+    return SparseRow(W.classes.num_classes,
+                     {index(t): Fraction(x, d) for t, x in values.items() if x})
 
 
 def fock_product(f: ClassFunction, g: ClassFunction,
                  strategy: str = "fusion") -> ClassFunction:
     """Graded product F(G) level n x level m -> level n+m.
 
-    ``"fusion"`` never touches elements: it weights each nonzero value once
-    by its centralizer order, multiplies the weighted supports out with
-    `_fuse`, and lays the fused weights out once on the ambient level,
-    scaled by |C(t1 + t2)|.  ``"elements"`` builds the product group and
-    the embedding and runs the literal induction sum (the oracle).
+    ``"fusion"`` never touches elements: it writes each factor's nonzero
+    values as integers over one denominator, multiplies the two supports
+    out with `_fuse`, and lays the fused values out once on the ambient
+    level, over the product of the denominators.  ``"elements"`` builds the
+    product group and the embedding and runs the literal induction sum (the
+    oracle).
     """
     Gn, Gm = _wreath_of(f), _wreath_of(g)
     if Gn.base is not Gm.base:
@@ -107,8 +113,8 @@ def fock_product(f: ClassFunction, g: ClassFunction,
     base = Gn.base
     amb = _level(base, Gn.n + Gm.n)
     if strategy == "fusion":
-        return ClassFunction(amb, _row(
-            amb, _fuse(_weighted_support(f), _weighted_support(g))))
+        (df, fs), (dg, gs) = _support(f), _support(g)
+        return ClassFunction(amb, _row(amb, _fuse(fs, gs), df * dg))
     if strategy == "elements":
         emb = embed_product(base, Gn.n, Gm.n)
         return induce(external_product(f, g, emb.dom), emb, strategy="elements")
@@ -118,6 +124,8 @@ def fock_product(f: ClassFunction, g: ClassFunction,
 def delta(G: FiniteGroup, n: int, c: int) -> ClassFunction:
     """Generator at level n colored by base class c: the indicator of the
     class whose permutation part is one n-cycle with cycle product in c."""
+    if n < 1 or not 0 <= c < G.classes.num_classes:
+        raise ValueError(f"no {n}-cycle generator of class {c} in {G.label}")
     Gn = _level(G, n)
     return indicator(Gn, Gn.class_index_of_type(TypeMatrix.single(n, c)))
 
@@ -139,19 +147,24 @@ def monomial_value(G: FiniteGroup, mu: TypeMatrix) -> ClassFunction:
 def _prefix_folds(types, start, step) -> list:
     """Per type, the left fold by `step` of its generators (r, c), in entry
     order, onto `start`.  The fold of a type is the fold of its generators
-    but the last, stepped once more, so each distinct prefix of generators
-    is stepped once per call."""
-    folds = {(): start}
+    but the last, stepped once more.  Types sharing a prefix of generators
+    are consecutive in canonical order, so one stack of folds, cut back to
+    the prefix a type shares with the one before, steps each distinct
+    prefix once per call."""
+    path, folds = [], [start]       # folds[i]: the fold of path[:i]
     out = []
     for t in types:
-        gens = tuple((r, c) for r, c, m in t.entries for _ in range(m))
-        i = len(gens)
-        while gens[:i] not in folds:
-            i -= 1
-        acc = folds[gens[:i]]
-        for i in range(i, len(gens)):
-            acc = folds[gens[:i + 1]] = step(acc, gens[i])
-        out.append(acc)
+        gens = [(r, c) for r, c, m in t.entries for _ in range(m)]
+        i = 0
+        for have, want in zip(path, gens):
+            if have != want:
+                break
+            i += 1
+        del folds[i + 1:]
+        for g in gens[i:]:
+            folds.append(step(folds[-1], g))
+        path = gens
+        out.append(folds[-1])
     return out
 
 
@@ -168,7 +181,7 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     walk (`_prefix_folds`) makes each distinct prefix of generators once
     per call: the row of a type is the product for its generators but the
     last, times that last one.  Under ``"fusion"`` a step is `_fuse` on
-    weighted supports, each generator's support taken once; under
+    integer supports, each generator's support taken once; under
     ``"elements"`` it is a `fock_product` by induced class functions.
 
     Returns (rows, types).
@@ -180,10 +193,11 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
               for c in range(G.classes.num_classes)}
     unit = one(_level(G, 0))
     if strategy == "fusion":
-        supports = {g: _weighted_support(d) for g, d in deltas.items()}
-        folds = _prefix_folds(W.types, dict(_weighted_support(unit)),
+        # indicators, so every support is over the denominator 1
+        supports = {g: _support(d)[1] for g, d in deltas.items()}
+        folds = _prefix_folds(W.types, dict(_support(unit)[1]),
                               lambda fs, g: _fuse(fs.items(), supports[g]))
-        return [_row(W, fs) for fs in folds], W.types
+        return [_row(W, fs, 1) for fs in folds], W.types
     folds = _prefix_folds(W.types, unit, lambda f, g: fock_product(
         f, deltas[g], strategy="elements"))
     return [SparseRow.of(f.values) for f in folds], W.types
@@ -234,13 +248,14 @@ def kunneth_generator_identity(G: FiniteGroup, H: FiniteGroup, n: int,
 
 
 def graded_dimension_series(G: FiniteGroup, N: int):
-    """Class counts of G wr S_n for n <= N, twice: by enumerating colored
-    partitions and by expanding prod_{r>=1} (1-q^r)^(-k) as a power series.
+    """Class counts of G wr S_n for n <= N, twice: by counting the colored
+    partitions that `wreath._type_walk` visits, without building a type,
+    and by expanding prod_{r>=1} (1-q^r)^(-k) as a power series.
 
     Returns (counts, series); the two must agree.
     """
     k = G.classes.num_classes
-    counts = [len(_colored_partitions(k, n)) for n in range(N + 1)]
+    counts = [_type_count(k, n) for n in range(N + 1)]
     series = class_count_series(k, N)
     return counts, series
 
@@ -256,6 +271,11 @@ class FockElement:
 
     def __init__(self, base: FiniteGroup, levels: dict, *,
                  max_level: int = DEFAULT_MAX_LEVEL):
+        for n, f in levels.items():
+            W = f.group
+            if not (isinstance(W, WreathGroup) and W.base is base and W.n == n):
+                raise ValueError(f"level {n} over {base.label} given a class "
+                                 f"function on {W.label}")
         self.base = base
         self.max_level = max_level
         self.levels = {n: f for n, f in sorted(levels.items())

@@ -291,9 +291,14 @@ class ConjugacyClasses:
         co = self.class_of
         return [i for i in range(self.group.order) if co[i] == k]
 
-    def centralizer_order(self, k: int) -> int:
+    @functools.cached_property
+    def centralizer_orders(self) -> tuple[int, ...]:
+        """|C(g)| per class, made once."""
         # orbit-stabilizer: |class| * |centralizer| = |G|
-        return self.group.order // self.sizes[k]
+        return tuple(self.group.order // size for size in self.sizes)
+
+    def centralizer_order(self, k: int) -> int:
+        return self.centralizer_orders[k]
 
 
 class FiniteGroup:

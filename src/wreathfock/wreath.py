@@ -12,6 +12,13 @@ base-class-colored partitions of n.  None of that needs the group enumerated,
 so class-level work scales far beyond an element sweep: a level is built
 from class data alone, and the element cap applies only where its elements
 are laid out.
+
+One recursion over the colored partitions (`_type_walk`) gives a level its
+types and, multiplying the centralizer formula's per-entry factors as it
+descends, their centralizer orders; counting its leaves gives the number of
+types without building one.  Types add by merging their sorted entries
+(`TypeMatrix.merge`), which also gives the integer ratio of centralizer
+orders that the Fock product's fusion rule needs.
 """
 
 from __future__ import annotations
@@ -77,12 +84,33 @@ class TypeMatrix:
                 return m
         return 0
 
+    def merge(self, other: "TypeMatrix") -> tuple["TypeMatrix", int]:
+        """(self + other, the product over their shared (r, c) of
+        binom(m1 + m2, m1)), in one pass over the two sorted entry tuples.
+
+        The coefficient is |C(self + other)| / (|C(self)| |C(other)|), as
+        the factor (r |C_G(g_c)|)^m m! of an entry is multiplicative in m
+        but for its m!.
+        """
+        a, b = self.entries, other.entries
+        out, coeff, i, j = [], 1, 0, 0
+        while i < len(a) and j < len(b):
+            x, y = a[i], b[j]
+            if x[0] == y[0] and x[1] == y[1]:
+                out.append((x[0], x[1], x[2] + y[2]))
+                coeff *= math.comb(x[2] + y[2], x[2])
+                i += 1
+                j += 1
+            elif x < y:
+                out.append(x)
+                i += 1
+            else:
+                out.append(y)
+                j += 1
+        return TypeMatrix._unchecked(tuple(out) + a[i:] + b[j:]), coeff
+
     def __add__(self, other: "TypeMatrix") -> "TypeMatrix":
-        counts = {(r, c): m for r, c, m in self.entries}
-        for r, c, m in other.entries:
-            counts[(r, c)] = counts.get((r, c), 0) + m
-        return TypeMatrix._unchecked(
-            tuple(sorted((r, c, m) for (r, c), m in counts.items())))
+        return self.merge(other)[0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TypeMatrix) and self.entries == other.entries
@@ -134,34 +162,61 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
     return TypeMatrix(counts)
 
 
-def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
-    """The types of G wr S_n for a base with k classes: the partitions of n
-    colored by base classes, in canonical order (ascending by the type's
-    entry tuple)."""
-    pairs = [(r, c) for r in range(1, n + 1) for c in range(k)]
-    # one shared triple per entry (r, c, m), however many types use it
-    triples = [[(r, c, m) for m in range(1, n // r + 1)] for r, c in pairs]
+def _type_walk(n: int, z, leaf) -> None:
+    """Call leaf(entries, cent) on each type of G wr S_n, for a base G
+    with len(z) classes, in canonical order: the partitions of n colored by
+    base classes, ascending by entry tuple.  entries is the list of the
+    type's (r, c, m) triples, valid during the call only, and cent the
+    product of their factors (r z_c)^m m!: the centralizer order when z
+    holds G's."""
+    pairs = [(r, c) for r in range(1, n + 1) for c in range(len(z))]
+    # the cycle length of each pair; the last, n + 1, fits no budget
+    rs = [r for r, _ in pairs] + [n + 1]
+    # one shared (triple, factor, r * m) per entry (r, c, m), however many
+    # types use it
+    steps = [[((r, c, m), (r * z[c]) ** m * math.factorial(m), r * m)
+              for m in range(1, n // r + 1)] for r, c in pairs]
 
-    types: list[TypeMatrix] = []
-
-    def go(i: int, budget: int, acc: list):
+    def go(i: int, budget: int, acc: list, cent: int):
         # Entry tuples compare by their first differing triple, so every
         # type using pair i with multiplicity m precedes those using it m+1
-        # times, and all of them precede the types that skip pair i.
-        if budget == 0:
-            types.append(TypeMatrix._unchecked(tuple(acc)))
-            return
-        if i == len(pairs) or pairs[i][0] > budget:
-            return
-        r = pairs[i][0]
-        for e in triples[i][:budget // r]:
+        # times, and all of them precede the types that skip pair i.  A
+        # call is made only where pair i fits the budget.
+        nxt = rs[i + 1]
+        for e, f, used in steps[i]:
+            rest = budget - used
+            if rest < 0:
+                break
             acc.append(e)
-            go(i + 1, budget - r * e[2], acc)
+            if rest == 0:
+                leaf(acc, cent * f)
+            elif nxt <= rest:
+                go(i + 1, rest, acc, cent * f)
             acc.pop()
-        go(i + 1, budget, acc)
+        if nxt <= budget:
+            go(i + 1, budget, acc, cent)
 
-    go(0, n, [])
+    if n > 0:
+        go(0, n, [], 1)
+    elif n == 0:
+        leaf([], 1)     # the empty type
+
+
+def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
+    """The types of G wr S_n for a base with k classes, in canonical order
+    (`_type_walk`)."""
+    types: list[TypeMatrix] = []
+    _type_walk(n, (1,) * k,
+               lambda acc, cent: types.append(TypeMatrix._unchecked(tuple(acc))))
     return types
+
+
+def _type_count(k: int, n: int) -> int:
+    """The number of types of G wr S_n for a base with k classes: the
+    leaves of `_type_walk`, counted without building a type."""
+    leaves = itertools.count()
+    _type_walk(n, (1,) * k, lambda acc, cent: next(leaves))
+    return next(leaves)
 
 
 def _type_reps(G: FiniteGroup, n: int, types) -> list[WreathElement]:
@@ -213,10 +268,10 @@ def centralizer_order(G: FiniteGroup, t: TypeMatrix) -> int:
 
     A single n-cycle typed by class c gives n * |C_G(g_c)|.
     """
-    cls = G.classes
+    z = G.classes.centralizer_orders
     total = 1
     for r, c, m in t.entries:
-        total *= (r * cls.centralizer_order(c)) ** m * math.factorial(m)
+        total *= (r * z[c]) ** m * math.factorial(m)
     return total
 
 
@@ -241,9 +296,10 @@ class WreathGroup(FiniteGroup):
     """G wr S_n with conjugacy decided by type.
 
     Building a level makes only its class data: the types in canonical
-    order and their sizes; one representative per type is made on first
-    read of ``classes.rep_descs``.  That needs the base group's classes
-    alone, so any level can be built, whatever its order.
+    order and their sizes, both from one `_type_walk`; one representative
+    per type is made on first read of ``classes.rep_descs``.  That needs
+    the base group's classes alone, so any level can be built, whatever
+    its order.
     The element cap (`max_order_cap`) is checked where the elements are
     first laid out (`_slot_perms`): enumeration, columns, inverses and
     element lookups are refused above it, class-level work never is.
@@ -288,9 +344,15 @@ class WreathGroup(FiniteGroup):
         self.base = base
         self.n = n
 
-        self.types = types = _colored_partitions(base.classes.num_classes, n)
-        self._type_index = {t: i for i, t in enumerate(self.types)}
-        cents = [centralizer_order(base, t) for t in self.types]
+        self.types = types = []
+        cents: list[int] = []
+
+        def leaf(acc, cent):
+            types.append(TypeMatrix._unchecked(tuple(acc)))
+            cents.append(cent)
+
+        _type_walk(n, base.classes.centralizer_orders, leaf)
+        self._type_index = {t: i for i, t in enumerate(types)}
         sizes = [order // cent for cent in cents]
         assert all(size * cent == order for size, cent in zip(sizes, cents))
         type_index = self._type_index

@@ -4,6 +4,7 @@ import inspect
 import io
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -24,9 +25,10 @@ from wreathfock.fock import (FockElement, change_of_basis, delta,
                              module_action_over_sym, monomial_value)
 from wreathfock.groups import ENV_MAX_ORDER, ResourceLimitError, direct_product
 from wreathfock.pullback import n_cycle_classes_closed
-from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup, _level,
-                               centralizer_order, classes_by_type, split_type,
-                               type_of, wreath_group)
+from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
+                               _colored_partitions, _level, centralizer_order,
+                               classes_by_type, split_type, type_of,
+                               wreath_group)
 
 # ---------------------------------------------------------------------------
 # the fusion product
@@ -94,6 +96,15 @@ def test_change_of_basis_rejects_an_unknown_strategy_up_front(n):
 
 # ---------------------------------------------------------------------------
 # generators and monomial bases
+
+
+@pytest.mark.parametrize("n,c", [(2, 2), (1, -1), (0, 0), (-1, 1)])
+def test_delta_names_a_generator_outside_the_base(C2, n, c):
+    message = f"^no {n}-cycle generator of class {c} in C2$"
+    with pytest.raises(ValueError, match=message):
+        delta(C2, n, c)
+    with pytest.raises(ValueError, match=message):
+        FockElement.generator(C2, n, c)
 
 
 def test_delta_is_single_cycle_indicator(C4):
@@ -303,6 +314,25 @@ def test_graded_dimension_series(S3):
     assert counts == series == [1, 3, 9, 22, 51, 108, 221]
 
 
+def test_graded_dimension_series_builds_no_type():
+    def refuse(*args):
+        raise AssertionError("a type was built")
+
+    G = catalog_group("Dic3")
+    G.classes.centralizer_orders        # the base's class data, made before
+    tracemalloc.start()
+    try:
+        with mock.patch.object(TypeMatrix, "__init__", refuse), \
+                mock.patch.object(TypeMatrix, "_unchecked", refuse):
+            counts, series = graded_dimension_series(G, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == series == [1, 6, 27, 98, 315, 918, 2492, 6372, 15525,
+                                36280, 81816, 178794, 380051]
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # graded elements
 
@@ -332,6 +362,21 @@ def test_fock_element_scalar_and_zero(C2):
 def test_fock_element_mixed_bases_rejected(C2, C3):
     with pytest.raises(ValueError):
         FockElement.unit(C2) + FockElement.unit(C3)
+
+
+def test_fock_element_rejects_a_level_of_another_degree_or_base(C2, C3):
+    with pytest.raises(ValueError, match="^level 1 over C2 given a class "
+                                         "function on C2 wr S2$"):
+        FockElement(C2, {1: delta(C2, 2, 0)})
+    with pytest.raises(ValueError, match="^level 2 over C2 given a class "
+                                         "function on C3 wr S2$"):
+        FockElement(C2, {2: delta(C3, 2, 0)})
+    with pytest.raises(ValueError, match="on S3$"):
+        FockElement(C2, {0: one(catalog_group("S3"))})
+    # a level above the truncation is checked before it is dropped
+    with pytest.raises(ValueError):
+        FockElement(C2, {5: delta(C2, 2, 0)}, max_level=3)
+    assert FockElement(C2, {2: delta(C2, 2, 0)}).level(2) == delta(C2, 2, 0)
 
 
 def test_fock_element_json(C2):
@@ -562,6 +607,65 @@ def test_change_of_basis_by_elements_makes_one_product_per_prefix(name, n):
     assert all(call.kwargs == {"strategy": "elements"}
                for call in product.call_args_list)
     assert rows == change_of_basis(G, n)[0]
+
+
+def prefix_folds_by_dict(types, start, step) -> list:
+    """`fock._prefix_folds` through a dict of generator-tuple prefixes,
+    which needs no order on the types: the walk the stack replaced."""
+    folds = {(): start}
+    out = []
+    for t in types:
+        gens = tuple((r, c) for r, c, m in t.entries for _ in range(m))
+        i = len(gens)
+        while gens[:i] not in folds:
+            i -= 1
+        acc = folds[gens[:i]]
+        for i in range(i, len(gens)):
+            acc = folds[gens[:i + 1]] = step(acc, gens[i])
+        out.append(acc)
+    return out
+
+
+def distinct_prefixes(types) -> set:
+    prefixes = set()
+    for t in types:
+        gens = [(r, c) for r, c, m in t.entries for _ in range(m)]
+        prefixes.update(tuple(gens[:i]) for i in range(1, len(gens) + 1))
+    return prefixes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 6))
+def test_prefix_folds_on_a_stack_are_the_dict_walk(k, n):
+    types = _colored_partitions(k, n)
+    calls = {"stack": [], "dict": []}
+
+    def stepper(log):
+        def step(acc, g):
+            log.append(acc + (g,))
+            return acc + (g,)
+        return step
+
+    got = fock._prefix_folds(types, (), stepper(calls["stack"]))
+    assert got == prefix_folds_by_dict(types, (), stepper(calls["dict"]))
+    assert got == [tuple((r, c) for r, c, m in t.entries for _ in range(m))
+                   for t in types]
+    assert sorted(calls["stack"]) == sorted(calls["dict"])
+    assert set(calls["stack"]) == distinct_prefixes(types)
+    assert len(calls["stack"]) == len(distinct_prefixes(types))
+
+
+def test_change_of_basis_by_fusion_fuses_once_per_prefix():
+    total = 0
+    for name, n in sorted(BASIS_TOPS.items()):
+        G = catalog_group(name)
+        types = [t for t, _ in classes_by_type(G, n)]
+        with mock.patch.object(fock, "_fuse", wraps=fock._fuse) as fuse:
+            rows, got = change_of_basis(G, n)
+        assert got == types
+        assert fuse.call_count == len(distinct_prefixes(types))
+        total += fuse.call_count
+    assert total == 1088
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from wreathfock.groups import (ENV_MAX_ORDER, FiniteGroup, Permutation,
                                ResourceLimitError, check_group_axioms,
                                conjugation_orbits)
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
+                               _colored_partitions, _level, _type_count,
                                centralizer_order, class_count_series,
                                classes_by_type, cycle_product, embed_product,
                                quotient_to_symmetric, type_of, wreath_group)
@@ -96,6 +98,36 @@ def test_type_addition_laws(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert (a + b).n == a.n + b.n
+
+
+def sum_by_dict_and_sort(a: TypeMatrix, b: TypeMatrix) -> TypeMatrix:
+    """t1 + t2 through a dict of multiplicities and a sort: the sum that
+    `TypeMatrix.merge` replaced."""
+    counts = {(r, c): m for r, c, m in a.entries}
+    for r, c, m in b.entries:
+        counts[(r, c)] = counts.get((r, c), 0) + m
+    return TypeMatrix._unchecked(
+        tuple(sorted((r, c, m) for (r, c), m in counts.items())))
+
+
+def centralizer_by_class_lookups(G, t: TypeMatrix) -> int:
+    """The centralizer product formula with one class lookup per entry:
+    the per-type route that a level's walk replaced."""
+    total = 1
+    for r, c, m in t.entries:
+        total *= (r * G.classes.centralizer_order(c)) ** m * math.factorial(m)
+    return total
+
+
+@given(typem, typem)
+def test_merge_is_the_sorted_sum_and_the_centralizer_ratio(a, b):
+    G = catalog_group("S3")     # three classes, as the entries' colors
+    t, coeff = a.merge(b)
+    assert t.entries == sum_by_dict_and_sort(a, b).entries == (a + b).entries
+    assert TypeMatrix(t.entries) == t
+    assert Fraction(coeff) == Fraction(
+        centralizer_by_class_lookups(G, t),
+        centralizer_by_class_lookups(G, a) * centralizer_by_class_lookups(G, b))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +230,28 @@ def test_class_sizes_match_brute(C2):
     by_formula = Counter(W.order // centralizer_order(C2, t)
                          for t, _ in classes_by_type(C2, 3))
     assert Counter(brute_sizes) == by_formula
+
+
+def assert_walk_orders_are_the_per_type_formula(G, n: int):
+    W = _level(G, n)
+    walked = [W.order // size for size in W.classes.sizes]
+    assert walked == [centralizer_by_class_lookups(G, t) for t in W.types]
+    assert walked == [centralizer_order(G, t) for t in W.types]
+
+
+@pytest.mark.parametrize("name,top", [("trivial", 8), ("C2", 6), ("C3", 5),
+                                      ("C4", 5), ("S3", 5), ("D8", 4),
+                                      ("Dic3", 4)])
+def test_level_centralizers_are_the_per_type_formula(name, top):
+    for n in range(top + 1):
+        assert_walk_orders_are_the_per_type_formula(catalog_group(name), n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=4), st.integers(0, 5))
+def test_level_centralizers_are_the_per_type_formula_on_random_bases(G, n):
+    assume(class_count_series(G.classes.num_classes, n)[n] <= 500)
+    assert_walk_orders_are_the_per_type_formula(G, n)
 
 
 def test_single_cycle_centralizer_formula(S3):
@@ -366,6 +420,13 @@ def test_series_matches_enumeration(name, k):
     series = class_count_series(k, 5)
     counts = [len(classes_by_type(G, n)) for n in range(6)]
     assert counts == series
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_type_count_is_the_enumeration_and_the_series(k):
+    counts = [_type_count(k, n) for n in range(11)]
+    assert counts == [len(_colored_partitions(k, n)) for n in range(11)]
+    assert counts == class_count_series(k, 10)
 
 
 def test_classes_sorted_canonically(C2):
