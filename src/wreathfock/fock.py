@@ -16,13 +16,14 @@ As |C(t)| is the product over the entries (r, c, m) of t of
     (f * g)[t] = sum over t1 + t2 = t of
                  f[t1] g[t2] prod over shared (r, c) of binom(m1 + m2, m1).
 
-`_fuse` applies it to integer supports, the (t, d f[t]) over the types
-where f is nonzero, d a common denominator of f's values: a product visits
-only the pairs of types in the two supports, makes each sum and its
-coefficient in one merge of sorted entry tuples (`TypeMatrix.merge`), and
-makes one fraction per value it lays out.  The literal element-sum
-induction is kept as the ``"elements"`` oracle strategy; the two must
-agree exactly wherever the ambient group is enumerable.
+`_fuse` applies it to integer supports, the pairs (entries of t, d f[t])
+over the types t where f is nonzero, d a common denominator of f's values:
+a product visits only the pairs of types in the two supports, makes each
+sum and its coefficient in one merge of sorted entry tuples
+(`wreath.merge_entries`) with no `TypeMatrix` per sum, and makes one
+fraction per value it lays out.  The literal element-sum induction is
+kept as the ``"elements"`` oracle strategy; the two must agree exactly
+wherever the ambient group is enumerable.
 
 The distinguished generators are the indicators of single-n-cycle classes;
 monomials in them, one per colored partition of n, form a basis of level n
@@ -31,10 +32,12 @@ change-of-basis matrix is diagonal: the monomial of type mu is prod m_i!
 times the indicator of mu, m_i the multiplicities of mu.  `monomial_value`
 returns that closed form; `change_of_basis` multiplies the generators out
 and is its oracle.  Under both strategies it makes one product per
-distinct prefix of generators; by fusion it runs each chain on integer
-supports through `_fuse`, with no class function per step, and keeps each
-row on its support, as a `ratlinalg.SparseRow`, through to the
-determinant.
+distinct prefix of generators.  By fusion it reads each generator's
+support off its type, the single entry (r, c, 1) at value 1, so it builds
+no class function at all: it runs each chain on integer supports through
+`_fuse` and keeps each row on its support, as a `ratlinalg.SparseRow`,
+through to the determinant.  `delta` stays the generators' definition,
+and the ``"elements"`` strategy multiplies its class functions out.
 
 Everything here except the ``"elements"`` strategy is class-level work on
 the types of each level, so it is bounded by the level (``--max-level``),
@@ -54,7 +57,7 @@ from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
 from .ratlinalg import SparseRow
 from .wreath import (TypeMatrix, WreathGroup, _level, _type_count,
-                     class_count_series, embed_product)
+                     class_count_series, embed_product, merge_entries)
 
 DEFAULT_MAX_LEVEL = 4
 ZERO = Fraction(0)
@@ -68,32 +71,33 @@ def _wreath_of(f: ClassFunction) -> WreathGroup:
 
 def _support(f: ClassFunction) -> tuple[int, list]:
     """f's nonzero values as integers over one denominator d: (d, the
-    pairs (type, d * f[type]) over the types where f is nonzero)."""
-    support = [(t, v) for t, v in zip(f.group.types, f.values) if v]
+    pairs (entries of t, d * f[t]) over the types t where f is nonzero)."""
+    support = [(t.entries, v) for t, v in zip(f.group.types, f.values) if v]
     d = math.lcm(*[v.denominator for _, v in support])
     return d, [(t, v.numerator * (d // v.denominator)) for t, v in support]
 
 
 def _fuse(fs, gs: list) -> dict:
-    """The fusion rule on integer supports: {t1 + t2: sum of a * b * binom}
-    over the pairs (t1, a) of fs and (t2, b) of gs, binom the merge
-    coefficient of t1 and t2 (`TypeMatrix.merge`).  fs is read once, gs
-    once per pair of fs."""
+    """The fusion rule on integer supports, types given by their entry
+    tuples: {t1 + t2: sum of a * b * binom} over the pairs (t1, a) of fs
+    and (t2, b) of gs, binom the merge coefficient of t1 and t2
+    (`merge_entries`).  fs is read once, gs once per pair of fs."""
     acc: dict = {}
     for t1, a in fs:
         for t2, b in gs:
-            t, coeff = t1.merge(t2)
-            x = a * b * coeff
-            acc[t] = acc[t] + x if t in acc else x
+            t, coeff = merge_entries(t1, t2)
+            acc[t] = acc.get(t, 0) + a * b * coeff
     return acc
 
 
 def _row(W: WreathGroup, values: dict, d: int) -> SparseRow:
-    """The values on the classes of W of {type: integer}, over the
-    denominator d, on their support."""
-    index = W.class_index_of_type
+    """The values on the classes of W of {entry tuple: integer}, over the
+    denominator d, on their support.  Each tuple is looked up in the
+    level's index, so a sum that is no type of W fails here."""
+    index = W._type_index
+    frac = Fraction if d == 1 else lambda x: Fraction(x, d)
     return SparseRow(W.classes.num_classes,
-                     {index(t): Fraction(x, d) for t, x in values.items() if x})
+                     {index[t]: frac(x) for t, x in values.items() if x})
 
 
 def fock_product(f: ClassFunction, g: ClassFunction,
@@ -144,6 +148,13 @@ def monomial_value(G: FiniteGroup, mu: TypeMatrix) -> ClassFunction:
     return ClassFunction(W, vals)
 
 
+def _generator_support(r: int, c: int) -> list:
+    """The integer support, over the denominator 1, of generator (r, c),
+    read off its type: `delta` is the indicator of the single entry
+    (r, c, 1)."""
+    return [(((r, c, 1),), 1)]
+
+
 def _prefix_folds(types, start, step) -> list:
     """Per type, the left fold by `step` of its generators (r, c), in entry
     order, onto `start`.  The fold of a type is the fold of its generators
@@ -181,23 +192,24 @@ def change_of_basis(G: FiniteGroup, n: int, strategy: str = "fusion"):
     walk (`_prefix_folds`) makes each distinct prefix of generators once
     per call: the row of a type is the product for its generators but the
     last, times that last one.  Under ``"fusion"`` a step is `_fuse` on
-    integer supports, each generator's support taken once; under
-    ``"elements"`` it is a `fock_product` by induced class functions.
+    integer supports, from the unit's {(): 1}, with each generator's
+    support read off its type (`_generator_support`), so no class function
+    is built; under ``"elements"`` it is a `fock_product` by induced class
+    functions of `delta`.
 
     Returns (rows, types).
     """
     if strategy not in ("fusion", "elements"):
         raise ValueError(f"unknown strategy: {strategy}")
     W = _level(G, n)
+    if strategy == "fusion":
+        # indicators of types, so every support is over the denominator 1
+        folds = _prefix_folds(W.types, {(): 1}, lambda fs, g: _fuse(
+            fs.items(), _generator_support(*g)))
+        return [_row(W, fs, 1) for fs in folds], W.types
     deltas = {(r, c): delta(G, r, c) for r in range(1, n + 1)
               for c in range(G.classes.num_classes)}
     unit = one(_level(G, 0))
-    if strategy == "fusion":
-        # indicators, so every support is over the denominator 1
-        supports = {g: _support(d)[1] for g, d in deltas.items()}
-        folds = _prefix_folds(W.types, dict(_support(unit)[1]),
-                              lambda fs, g: _fuse(fs.items(), supports[g]))
-        return [_row(W, fs, 1) for fs in folds], W.types
     folds = _prefix_folds(W.types, unit, lambda f, g: fock_product(
         f, deltas[g], strategy="elements"))
     return [SparseRow.of(f.values) for f in folds], W.types
@@ -252,12 +264,12 @@ def graded_dimension_series(G: FiniteGroup, N: int):
     partitions that `wreath._type_walk` visits, without building a type,
     and by expanding prod_{r>=1} (1-q^r)^(-k) as a power series.
 
-    Returns (counts, series); the two must agree.
+    Returns (counts, series); the two must agree.  ValueError for N < 0
+    (`class_count_series`).
     """
     k = G.classes.num_classes
-    counts = [_type_count(k, n) for n in range(N + 1)]
     series = class_count_series(k, N)
-    return counts, series
+    return [_type_count(k, n) for n in range(N + 1)], series
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ which hold only their nonzero entries and read as the dense rows.  Pivot
 choice is deterministic: columns left to right, first row with a nonzero
 entry.  `det` eliminates on sparse rows ({column: nonzero entry}) under the
 same pivot rule, so its cost follows the nonzero entries rather than the
-cells.
+cells, and multiplies the pivots out as integers, into one fraction.
 """
 
 from __future__ import annotations
@@ -25,13 +25,9 @@ def _fractions(row) -> list:
     return [x if isinstance(x, Fraction) else Fraction(x) for x in row]
 
 
-def _copy(rows):
-    return [_fractions(row) for row in rows]
-
-
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    m = _copy(rows)
+    m = [_fractions(row) for row in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -157,7 +153,9 @@ def det(rows) -> Fraction:
     and the rows to update, so the work follows the nonzero entries, and a
     diagonal matrix costs one step per column.  The pivot rule is the one
     `rref` uses, on the row positions that its swaps give, which `at` and
-    `pos` track.
+    `pos` track; a column held by one row takes it without a search.  The
+    determinant is the signed product of the pivots, made as one Fraction
+    of the products of their numerators and of their denominators.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -169,22 +167,23 @@ def det(rows) -> Fraction:
         for j in row:
             holders[j].add(i)
     at, pos = list(range(n)), list(range(n))  # row at position, and back
-    d = ONE
+    num = den = 1
     for c in range(n):
-        if not holders[c]:
+        h = holders[c]
+        if not h:
             return ZERO
-        pr = min(holders[c], key=pos.__getitem__)
+        pr = next(iter(h)) if len(h) == 1 else min(h, key=pos.__getitem__)
         if pos[pr] != c:  # swap positions c and pos[pr]
             q = at[c]
             at[c], at[pos[pr]] = pr, q
             pos[q], pos[pr] = pos[pr], c
-            d = -d
+            num = -num
         pivot = m[pr]
         for j in pivot:
             holders[j].discard(pr)
         p = pivot[c]
-        d *= p
-        for i in holders[c].copy():
+        num, den = num * p.numerator, den * p.denominator
+        for i in h.copy():
             row = m[i]
             f = row[c] / p
             for j, b in pivot.items():
@@ -196,7 +195,7 @@ def det(rows) -> Fraction:
                 else:  # b and f are nonzero, so j was in the row
                     del row[j]
                     holders[j].discard(i)
-    return d
+    return Fraction(num, den)
 
 
 def inverse(rows):

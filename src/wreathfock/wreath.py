@@ -16,9 +16,11 @@ are laid out.
 One recursion over the colored partitions (`_type_walk`) gives a level its
 types and, multiplying the centralizer formula's per-entry factors as it
 descends, their centralizer orders; counting its leaves gives the number of
-types without building one.  Types add by merging their sorted entries
-(`TypeMatrix.merge`), which also gives the integer ratio of centralizer
-orders that the Fock product's fusion rule needs.
+types without building one.  Types add by merging their sorted entry
+tuples (`merge_entries`), which also gives the integer ratio of centralizer
+orders that the Fock product's fusion rule needs; the Fock product runs it
+on the entry tuples themselves, and a level is indexed by them
+(`class_index_of_type`), so its fusion builds no `TypeMatrix`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import itertools
 import math
 from array import array
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .catalog import catalog_group
@@ -38,6 +40,39 @@ from .groups import (ConjugacyClasses, FiniteGroup, Homomorphism, Permutation,
 class WreathElement(NamedTuple):
     parts: tuple[int, ...]
     perm: Permutation
+
+
+def _int_entry(e) -> tuple[int, int, int]:
+    """A type entry (r, c, m) with each number taken exactly as an integer
+    (`operator.index`): a float or a string is refused, not truncated."""
+    try:
+        r, c, m = e
+        return index(r), index(c), index(m)
+    except TypeError:
+        raise ValueError(f"bad type entry {e!r}: not three integers") from None
+
+
+def merge_entries(a: tuple, b: tuple) -> tuple[tuple, int]:
+    """(a + b, the product over their shared (r, c) of binom(m1 + m2, m1))
+    for two sorted entry tuples, in one pass over both.
+
+    The coefficient is |C(a + b)| / (|C(a)| |C(b)|), as the factor
+    (r |C_G(g_c)|)^m m! of an entry is multiplicative in m but for its m!.
+    """
+    out, coeff, i, j = [], 1, 0, 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x[0] == y[0] and x[1] == y[1]:
+            out.append((x[0], x[1], x[2] + y[2]))
+            coeff *= math.comb(x[2] + y[2], x[2])
+            i, j = i + 1, j + 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return tuple(out) + a[i:] + b[j:], coeff
 
 
 class TypeMatrix:
@@ -55,7 +90,7 @@ class TypeMatrix:
         # each entry, zero multiplicities included, is checked before
         # repeated (r, c) pairs are summed and zero sums dropped
         merged: list = []
-        for r, c, m in sorted((int(r), int(c), int(m)) for r, c, m in entries):
+        for r, c, m in sorted(map(_int_entry, entries)):
             if r < 1 or c < 0 or m < 0:
                 raise ValueError(f"bad type entry ({r}, {c}, {m})")
             if merged and merged[-1][:2] == (r, c):
@@ -85,29 +120,9 @@ class TypeMatrix:
         return 0
 
     def merge(self, other: "TypeMatrix") -> tuple["TypeMatrix", int]:
-        """(self + other, the product over their shared (r, c) of
-        binom(m1 + m2, m1)), in one pass over the two sorted entry tuples.
-
-        The coefficient is |C(self + other)| / (|C(self)| |C(other)|), as
-        the factor (r |C_G(g_c)|)^m m! of an entry is multiplicative in m
-        but for its m!.
-        """
-        a, b = self.entries, other.entries
-        out, coeff, i, j = [], 1, 0, 0
-        while i < len(a) and j < len(b):
-            x, y = a[i], b[j]
-            if x[0] == y[0] and x[1] == y[1]:
-                out.append((x[0], x[1], x[2] + y[2]))
-                coeff *= math.comb(x[2] + y[2], x[2])
-                i += 1
-                j += 1
-            elif x < y:
-                out.append(x)
-                i += 1
-            else:
-                out.append(y)
-                j += 1
-        return TypeMatrix._unchecked(tuple(out) + a[i:] + b[j:]), coeff
+        """(self + other, their fusion coefficient), by `merge_entries`."""
+        entries, coeff = merge_entries(self.entries, other.entries)
+        return TypeMatrix._unchecked(entries), coeff
 
     def __add__(self, other: "TypeMatrix") -> "TypeMatrix":
         return self.merge(other)[0]
@@ -316,6 +331,7 @@ class WreathGroup(FiniteGroup):
     """
 
     def __init__(self, base: FiniteGroup, n: int):
+        _check_level(n)
         order = base.order ** n * math.factorial(n)
         base_mul, base_inv = base.mul, base.inv
 
@@ -352,15 +368,15 @@ class WreathGroup(FiniteGroup):
             cents.append(cent)
 
         _type_walk(n, base.classes.centralizer_orders, leaf)
-        self._type_index = {t: i for i, t in enumerate(types)}
+        # entry tuple -> class index, for lookups hashed and compared in C
+        self._type_index = type_index = {t.entries: i
+                                         for i, t in enumerate(types)}
         sizes = [order // cent for cent in cents]
         assert all(size * cent == order for size, cent in zip(sizes, cents))
-        type_index = self._type_index
 
         def classify(d: WreathElement) -> int:
-            t = type_of(base, d)
             try:
-                return type_index[t]
+                return type_index[type_of(base, d).entries]
             except KeyError:
                 raise ValueError(f"{d!r} is not an element of {self.label}") from None
 
@@ -474,7 +490,17 @@ class WreathGroup(FiniteGroup):
         return array("i", self._slot_sweep(rule))
 
     def class_index_of_type(self, t: TypeMatrix) -> int:
-        return self._type_index[t]
+        """The index of the class of type t, looked up by its entries;
+        ValueError for a type of another level or base."""
+        try:
+            return self._type_index[t.entries]
+        except KeyError:
+            raise ValueError(f"{t!r} is not a type of {self.label}") from None
+
+
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"no level {n}: the levels are n >= 0")
 
 
 def _level(G: FiniteGroup, n: int) -> WreathGroup:
@@ -494,6 +520,7 @@ def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
     level already exists.  Class-level code, which never needs an element,
     uses `_level` and is not limited by the cap.
     """
+    _check_level(n)
     check_order_cap(f"{G.label} wr S{n}", G.order ** n * math.factorial(n))
     return _level(G, n)
 
@@ -555,6 +582,7 @@ def quotient_to_symmetric(Gn: WreathGroup) -> Homomorphism:
 def class_count_series(num_base_classes: int, N: int) -> list[int]:
     """Coefficients of prod_{r>=1} (1 - q^r)^(-k) up to q^N, k the number of
     base classes; coefficient n is the class count of G wr S_n."""
+    _check_level(N)
     k = num_base_classes
     coeffs = [1] + [0] * N
     for r in range(1, N + 1):

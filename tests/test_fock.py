@@ -668,6 +668,37 @@ def test_change_of_basis_by_fusion_fuses_once_per_prefix():
     assert total == 1088
 
 
+def test_change_of_basis_by_fusion_builds_no_class_function():
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class function was built")
+
+    for name, n in sorted(BASIS_TOPS.items()):
+        monomials = [list(monomial_value(catalog_group(name), t).values)
+                     for t, _ in classes_by_type(catalog_group(name), n)]
+        G = catalog_group.__wrapped__(name)     # fresh: levels built below
+        with mock.patch.object(fock, "delta", refuse), \
+                mock.patch.object(fock, "one", refuse), \
+                mock.patch.object(ClassFunction, "__init__", refuse):
+            rows, types = change_of_basis(G, n)
+        assert rows == monomials
+        assert [t.entries for t in types] == \
+            [t.entries for t, _ in classes_by_type(catalog_group(name), n)]
+
+
+# catalog bases of one to six classes, abelian and not
+SUPPORT_BASES = ["trivial", "C2", "C3", "C4", "S3", "D8", "D12", "Dic3", "S4"]
+
+
+@pytest.mark.parametrize("name", SUPPORT_BASES)
+def test_generator_supports_read_off_types_are_the_deltas(name):
+    G = catalog_group(name)
+    assert fock._support(one(wreath_group(G, 0))) == (1, [((), 1)])
+    for r in range(1, 5):
+        for c in range(G.classes.num_classes):
+            assert fock._support(delta(G, r, c)) == \
+                (1, fock._generator_support(r, c))
+
+
 # ---------------------------------------------------------------------------
 # class-level work above the element cap
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_fock import BASIS_TOPS
 from test_groups import assert_class_map_reads_every_image, perm_groups
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction
@@ -77,6 +79,17 @@ def test_type_matrix_merges_repeated_entries():
     # each entry is checked before it is summed
     with pytest.raises(ValueError, match=r"bad type entry \(1, 0, -1\)"):
         TypeMatrix([(1, 0, 2), (1, 0, -1)])
+
+
+@pytest.mark.parametrize("entries,shown", [
+    ([(1.9, 0, 2)], "(1.9, 0, 2)"),
+    ([("3", 0, 1)], "('3', 0, 1)"),
+    ({(2.0, 1): 1.5}, "(2.0, 1, 1.5)"),
+    ([(1, 0, 1), (2, 0.0, 1)], "(2, 0.0, 1)"),
+])
+def test_type_matrix_refuses_entries_that_are_not_integers(entries, shown):
+    with pytest.raises(ValueError, match=re.escape(f"bad type entry {shown}")):
+        TypeMatrix(entries)
 
 
 def test_type_matrix_json():
@@ -207,6 +220,48 @@ def test_wreath_group_structure(C3):
 
 def test_wreath_group_is_cached(C3):
     assert wreath_group(C3, 2) is wreath_group(C3, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: WreathGroup(G, -1),
+    lambda G: _level(G, -1),
+    lambda G: wreath_group(G, -1),
+    lambda G: classes_by_type(G, -2),
+    lambda G: change_of_basis(G, -1),
+    lambda G: graded_dimension_series(G, -1),
+    lambda G: class_count_series(2, -2),
+], ids=["WreathGroup", "_level", "wreath_group", "classes_by_type",
+        "change_of_basis", "graded_dimension_series", "class_count_series"])
+def test_negative_levels_are_refused(C2, call):
+    with pytest.raises(ValueError, match=r"no level -[12]: the levels are n >= 0"):
+        call(C2)
+    assert all(n >= 0 for n in C2.__dict__.get("_wreath_levels", {}))
+
+
+def assert_types_index_their_classes(W):
+    for t in W.types:
+        assert W.class_index_of_type(TypeMatrix(t.entries)) == W.types.index(t)
+
+
+@pytest.mark.parametrize("name,top", sorted(BASIS_TOPS.items()))
+def test_class_index_of_type_is_the_position_in_the_types(name, top):
+    for n in range(top + 1):
+        assert_types_index_their_classes(_level(catalog_group(name), n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(perm_groups(max_degree=4), st.integers(0, 4))
+def test_class_index_of_type_is_the_position_on_random_bases(G, n):
+    assert_types_index_their_classes(_level(G, n))
+
+
+def test_class_index_of_type_refuses_a_type_of_another_level(C2):
+    with pytest.raises(ValueError, match=re.escape(
+            "TypeMatrix[1 x (1-cycle in class 3)] is not a type of C2 wr S1")):
+        monomial_value(C2, TypeMatrix([(1, 3, 1)]))
+    with pytest.raises(ValueError, match=re.escape(
+            "TypeMatrix[1 x (1-cycle in class 0)] is not a type of C2 wr S2")):
+        _level(C2, 2).class_index_of_type(TypeMatrix([(1, 0, 1)]))
 
 
 def test_wreath_order_cap(S3, monkeypatch):
