@@ -8,6 +8,7 @@ irreducible characters are ever computed.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -15,11 +16,21 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import ratlinalg
-from .groups import TABLE_LIMIT, FiniteGroup, Homomorphism
+from .groups import TABLE_LIMIT, FiniteGroup, Homomorphism, _gather
+
+ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact Fraction: an int, a Fraction, or a string that
+    `Fraction` parses.  A float or any other number raises ValueError, as
+    it would enter only as its binary approximation."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is not an exact rational: give an int, a "
+                     f"Fraction or a string such as '1/10'")
 
 
 class ClassFunction:
@@ -108,7 +119,7 @@ class ClassFunction:
 
 
 def zero(G: FiniteGroup) -> ClassFunction:
-    return ClassFunction(G, [Fraction(0)] * G.classes.num_classes)
+    return ClassFunction(G, [ZERO] * G.classes.num_classes)
 
 
 def one(G: FiniteGroup) -> ClassFunction:
@@ -116,7 +127,7 @@ def one(G: FiniteGroup) -> ClassFunction:
 
 
 def indicator(G: FiniteGroup, k: int) -> ClassFunction:
-    vals = [Fraction(0)] * G.classes.num_classes
+    vals = [ZERO] * G.classes.num_classes
     vals[k] = Fraction(1)
     return ClassFunction(G, vals)
 
@@ -171,9 +182,12 @@ def _conjugate_counts(incl: Homomorphism) -> list:
     representative of G.  Swept once per inclusion and kept on it, like
     its `class_map`; a map that is not injective raises on every call.
 
-    r^-1 y is the column of y read at r^-1; up to order TABLE_LIMIT,
-    (r^-1 y) r is read off the Cayley table, built first, and above it is
-    one `G.mul`.  The sweep reads no class map of G.
+    Each sweep visits every r in G and counts the H-classes of the |G|
+    conjugates with one `Counter`.  Up to order TABLE_LIMIT the Cayley
+    table is built first, and a sweep is two whole-row gathers: row y of
+    the table is y*r for every r, and the table read at r^-1 * |G| + y*r
+    is r^-1 y r.  Above it a sweep is 2|G| `G.mul`.  The sweep reads no
+    class map of G.
     """
     counts = incl.__dict__.get("_conjugate_counts")
     if counts is not None:
@@ -189,19 +203,19 @@ def _conjugate_counts(incl: Homomorphism) -> list:
     inv = G._inverse_array()
     if n <= TABLE_LIMIT:
         t = G.cayley_table()
+        inv_rows = [i * n for i in inv]     # the offset of row r^-1
 
         def conjugates(y):
-            left = map(G.column(y).__getitem__, inv)  # r^-1 * y
-            return map(t.__getitem__, map(add, map(n.__mul__, left), range(n)))
+            return _gather(t, list(map(add, inv_rows, t[y * n:(y + 1) * n])))
     else:
         mul = G.mul
 
         def conjugates(y):
-            return (mul(mul(inv[r], y), r) for r in range(n))
+            return [mul(mul(inv[r], y), r) for r in range(n)]
 
     counts = [[] for _ in range(H.classes.num_classes)]
     for a, y in enumerate(G.classes.reps):
-        hits = Counter(map(h_class.__getitem__, conjugates(y)))
+        hits = Counter(_gather(h_class, conjugates(y)))
         hits.pop(-1, None)
         for j, c in hits.items():
             counts[j].append((a, c))
@@ -221,9 +235,11 @@ def induce(f: ClassFunction, incl: Homomorphism,
       For each class representative y of G, one sweep over every r in G
       counts, as integers, the conjugates r^-1 y r that land in each
       H-class (`_conjugate_counts`).  The counts depend on the inclusion
-      alone, so they are made once per inclusion and kept on it; each call
-      scales each nonzero f_j by its counts.  The sweep reads no class map
-      of G, so it is independent of fusion.
+      alone, so they are made once per inclusion and kept on it.  Each
+      call writes f's nonzero values as integers over one common
+      denominator d, sums integer value times count per class of G, and
+      makes one fraction, over d |H|, per nonzero class.  The sweep reads
+      no class map of G, so it is independent of fusion.
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.
@@ -244,22 +260,32 @@ def induce(f: ClassFunction, incl: Homomorphism,
                 for a in range(g_classes.num_classes)]
         return ClassFunction(G, vals)
     if strategy == "elements":
-        acc = [Fraction(0)] * G.classes.num_classes
-        for v, pairs in zip(f.values, _conjugate_counts(incl)):
+        counts = _conjugate_counts(incl)
+        d = math.lcm(*[v.denominator for v in f.values if v])
+        acc = [0] * G.classes.num_classes
+        for v, pairs in zip(f.values, counts):
             if v:
+                x = v.numerator * (d // v.denominator)
                 for a, c in pairs:
-                    acc[a] += v * c
-        return ClassFunction(G, [x / H.order for x in acc])
+                    acc[a] += x * c
+        d *= H.order
+        return ClassFunction(G, [Fraction(x, d) if x else ZERO for x in acc])
     raise ValueError(f"unknown induction strategy: {strategy}")
 
 
 def external_product(f: ClassFunction, g: ClassFunction,
                      P: FiniteGroup) -> ClassFunction:
-    """f x g on a direct product group built by `direct_product`, whose
-    classes are lexicographic pairs of factor classes."""
-    kf = f.group.classes.num_classes
-    kg = g.group.classes.num_classes
-    if P.classes.num_classes != kf * kg:
-        raise ValueError("P does not look like the product of the factors")
-    vals = [a * b for a in f.values for b in g.values]
+    """f x g on the direct product of f's and g's groups, in that order,
+    built by `direct_product`, whose classes are lexicographic pairs of
+    factor classes.  Multiplies only where both factors are nonzero.
+
+    ValueError unless P's recorded factors are f's and g's groups."""
+    first, second = P.factors or (None, None)
+    if first is not f.group or second is not g.group:
+        raise ValueError(f"{P.label} is not the direct product "
+                         f"{f.group.label} x {g.group.label}")
+    zeros = [ZERO] * len(g.values)
+    vals = []
+    for a in f.values:
+        vals += [a * b if b else ZERO for b in g.values] if a else zeros
     return ClassFunction(P, vals)

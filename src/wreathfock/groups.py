@@ -327,6 +327,7 @@ class FiniteGroup:
         self._inverses = None
         self._columns: dict = {}
         self._column_of = _column_of
+        self.factors = None     # (G, H) on a group built by direct_product
 
     # -- enumeration --------------------------------------------------
 
@@ -611,11 +612,18 @@ def find_generators(G: FiniteGroup) -> list[int]:
 def centralizer(G: FiniteGroup, x: int) -> list[int]:
     """All s with s*x == x*s; a subgroup containing the identity.
 
-    Reads s*x off the column of x, and x*s = (s^-1 * x^-1)^-1 off the
-    column of x^-1."""
-    inv = G._inverse_array()
-    cx, cxi = G.column(x), G.column(inv[x])
-    return [s for s in range(G.order) if cx[s] == inv[cxi[inv[s]]]]
+    Walks the spanning tree of the Cayley graph of `_spanning_generators`
+    (`_generator_columns`) from the identity, carrying conj[w] = w^-1 x w:
+    along an edge w -> w*g, conj[w*g] = g^-1 conj[w] g is the conjugation
+    step of g (`_conjugation_steps`) read at conj[w].  It keeps each s with
+    conj[s] == x, and needs the generators' columns only, no column of x.
+    """
+    gens = G._spanning_generators()
+    steps = _conjugation_steps(G, gens)
+    conj = [x] * G.order
+    for w, parent, k in G._generator_columns(gens)[1]:
+        conj[w] = steps[k][conj[parent]]
+    return [s for s, y in enumerate(conj) if y == x]
 
 
 def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
@@ -693,7 +701,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     index i*|H| + j, and conjugacy classes are pairs of factor classes,
     likewise in lexicographic order.  Columns, inverses and the class of
     every element come from the factors' by that index arithmetic, with no
-    product of pairs and no element classified twice.
+    product of pairs and no element classified twice.  P records its
+    factors as ``P.factors = (G, H)``, which `classfun.external_product`
+    checks.
 
     Returns (P, proj_G, proj_H, incl_G, incl_H).
     """
@@ -716,6 +726,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None):
     gens = [(g, 0) for g in G.generator_indices] + \
            [(0, h) for h in H.generator_indices]
     P = FiniteGroup(label, elements, mul, generators=gens, _column_of=column)
+    P.factors = (G, H)
     P._spanning = [g * nH for g in G._spanning_generators()] + \
         H._spanning_generators()
     P._inverses = array("i", pairs(G._inverse_array(), H._inverse_array()))

@@ -166,7 +166,9 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
     """Type matrix of an element of G wr S_n (fixed points count as 1-cycles).
 
     Rotating a cycle conjugates its product, so the base class is independent
-    of the starting point.
+    of the starting point.  The entries are the sorted (r, c, m) of the
+    counts, each m >= 1 as it counts a cycle, so the type is canonical by
+    construction and skips `TypeMatrix`'s checks.
     """
     counts: dict = {}
     cls = G.classes
@@ -174,7 +176,8 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
         c = cls.class_of_index(cycle_product(G, x, cyc))
         key = (len(cyc), c)
         counts[key] = counts.get(key, 0) + 1
-    return TypeMatrix(counts)
+    return TypeMatrix._unchecked(
+        tuple(sorted([(r, c, m) for (r, c), m in counts.items()])))
 
 
 def _type_walk(n: int, z, leaf) -> None:

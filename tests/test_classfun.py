@@ -1,4 +1,6 @@
 import contextlib
+import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -322,3 +324,152 @@ def test_inner_product_bilinear(a, b, c):
     assert inner_product(f + c * g, h) == \
         inner_product(f, h) + c * inner_product(g, h)
     assert inner_product(f, g) == inner_product(g, f)
+
+
+
+
+# ---------------------------------------------------------------------------
+# the element route on whole table rows and integers
+
+
+def same_inclusion(incl):
+    """incl again, with no conjugate counts kept on it."""
+    return Homomorphism(incl.dom, incl.cod, incl.images)
+
+
+def counts_by_both_sweeps(maps):
+    """The conjugate counts of each inclusion in maps, all into one G, by
+    the `G.mul` sweep (TABLE_LIMIT = 0) and then by the table sweep, each
+    on a fresh copy of the inclusion, so neither reads the other's kept
+    counts.  The `G.mul` sweeps run first, on native products, as G has
+    no table until the table sweep builds it."""
+    G = maps[0].cod
+    assert G._table is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classfun, "TABLE_LIMIT", 0)
+        by_mul = [classfun._conjugate_counts(same_inclusion(m)) for m in maps]
+    assert G._table is None
+    by_table = [classfun._conjugate_counts(same_inclusion(m)) for m in maps]
+    assert G._table is not None
+    return by_mul, by_table
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perm_groups(), st.data())
+def test_table_sweep_counts_equal_the_mul_sweep_on_random_subgroups(G, data):
+    S, maps = random_injections(G, data)
+    by_mul, by_table = counts_by_both_sweeps(maps)
+    assert by_table == by_mul
+
+
+# the (base, level) slots of the change of basis by elements in the
+# benchmark's oracle workload
+ORACLE_BASIS_SLOTS = [("trivial", 3), ("C2", 2), ("C2", 3), ("C3", 2),
+                      ("C4", 2), ("S3", 2), ("D8", 2)]
+
+
+@pytest.mark.parametrize("base,n", ORACLE_BASIS_SLOTS)
+def test_table_sweep_counts_equal_the_mul_sweep_on_block_embeddings(base, n):
+    """Every embedding G_a x G_(m-a) -> G_m, 0 <= a < m <= n, that the
+    change of basis of level n induces along, on a fresh base group."""
+    G = catalog_group.__wrapped__(base)
+    for m in range(1, n + 1):
+        by_mul, by_table = counts_by_both_sweeps(
+            [embed_product(G, a, m - a) for a in range(m)])
+        assert by_table == by_mul
+
+
+def induce_by_fraction_sums(f, incl):
+    """Induction by elements summed in Fractions: each nonzero f_j times
+    its counts, added per class of G, and each sum divided by |H|."""
+    acc = [Fraction(0)] * incl.cod.classes.num_classes
+    for v, pairs in zip(f.values, classfun._conjugate_counts(incl)):
+        if v:
+            for a, c in pairs:
+                acc[a] += v * c
+    return ClassFunction(incl.cod, [x / incl.dom.order for x in acc])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perm_groups(), st.data())
+def test_induce_by_elements_on_integers_is_the_fraction_sum(G, data):
+    S, maps = random_injections(G, data)
+    k = S.classes.num_classes
+    mixed = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(
+        [1, 2, 3, 5, 7, 12, 35, 64]))
+    f = ClassFunction(S, data.draw(st.lists(mixed, min_size=k, max_size=k)))
+    for incl in maps:
+        got = induce(f, incl, strategy="elements")
+        assert got == induce_by_fraction_sums(f, incl)
+        assert all(type(v) is Fraction for v in got.values)
+        assert induce(zero(S), incl, strategy="elements") == \
+            induce_by_fraction_sums(zero(S), incl) == zero(G)
+
+
+def test_induce_by_elements_on_integers_over_mixed_denominators(S3, s2_in_s3):
+    T, t_in_s3 = subgroup(S3, [0])
+    for H, incl in (s2_in_s3, (T, t_in_s3)):
+        for vals in ([Fraction(1, 7), Fraction(-5, 12)], [Fraction(3, 35), 0],
+                     [0, 0]):
+            f = ClassFunction(H, vals[:H.classes.num_classes])
+            assert induce(f, incl, strategy="elements") == \
+                induce_by_fraction_sums(f, incl) == \
+                induce(f, incl, strategy="fusion")
+    assert induce(ClassFunction(T, [Fraction(-5, 12)]), t_in_s3,
+                  strategy="elements").values == (Fraction(-5, 2), 0, 0)
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_table_sweep_makes_no_product_once_the_table_exists(case):
+    incl = fresh_inclusions()[case]
+    H, G = incl.dom, incl.cod
+    G.cayley_table()
+    f = ClassFunction(H, [Fraction(j, 3) - 1 for j in range(
+        H.classes.num_classes)])
+    with mock.patch.object(G, "mul", side_effect=AssertionError("G.mul")):
+        by_elements = induce(f, incl, strategy="elements")
+    assert by_elements == induce(f, incl, strategy="fusion")
+
+
+# ---------------------------------------------------------------------------
+# exact values only
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), complex(1, 0),
+                                   Decimal("0.1"), None])
+def test_inexact_values_are_refused(S3, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        ClassFunction(S3, [value, 1, 2])
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        one(S3) * value
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        value * one(S3)
+
+
+def test_exact_values_are_taken(S3):
+    f = ClassFunction(S3, [True, "0.1", "-3/4"])
+    assert f.values == (Fraction(1), Fraction(1, 10), Fraction(-3, 4))
+    assert one(S3) * "1/10" == ClassFunction(S3, ["1/10"] * 3)
+    with pytest.raises(ValueError, match="abc"):
+        ClassFunction(S3, ["abc", 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# external products on their own factors
+
+
+def test_external_product_refuses_swapped_factors(C2, C3):
+    P = direct_product(C3, C2)[0]
+    assert P.factors == (C3, C2)
+    with pytest.raises(ValueError, match="not the direct product"):
+        external_product(one(C2), one(C3), P)
+    assert external_product(one(C3), one(C2), P) == one(P)
+
+
+def test_external_product_compares_factors_by_identity(C2, C3, D12):
+    # a product of another C2, and a group with C2 x C3's class count
+    # that is no direct product
+    for P in (direct_product(catalog_group.__wrapped__("C2"), C3)[0], D12):
+        assert P.classes.num_classes == 6
+        with pytest.raises(ValueError, match="not the direct product"):
+            external_product(one(C2), one(C3), P)

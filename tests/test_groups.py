@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -688,6 +690,20 @@ def test_centralizer_is_the_commuting_set(G, data):
     x = data.draw(st.integers(0, G.order - 1))
     assert centralizer(G, x) == [s for s in range(G.order)
                                  if table[s][x] == table[x][s]]
+
+
+@walk_settings
+@given(perm_groups(), st.data())
+def test_centralizer_makes_no_product_and_no_column_of_x(G, data):
+    # it walks the generators' columns, kept by the permutation closure
+    x = data.draw(st.integers(0, G.order - 1))
+    G._inverse_array()
+    cached = set(G._columns)
+    with mock.patch.object(G, "_mul_desc",
+                           side_effect=AssertionError("native product")):
+        got = centralizer(G, x)
+    assert set(G._columns) == cached
+    assert got == [s for s in range(G.order) if G.mul(s, x) == G.mul(x, s)]
 
 
 perms_upto6 = st.integers(1, 6).flatmap(

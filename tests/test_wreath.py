@@ -177,6 +177,26 @@ def test_type_is_conjugation_invariant():
             assert type_of(G, y) == tx
 
 
+def type_by_checked_counts(G, x) -> TypeMatrix:
+    """The type of x by the checked constructor, from the raw counts of
+    (cycle length, base class of the cycle product)."""
+    return TypeMatrix(Counter(
+        (len(cyc), G.classes.class_of_index(cycle_product(G, x, cyc)))
+        for cyc in x.perm.cycles()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 4), ("C2", 3), ("C3", 3), ("S3", 3),
+                        ("D8", 2), ("Dic3", 2)]), st.data())
+def test_type_of_is_the_checked_type_of_its_counts(level, data):
+    G = catalog_group(level[0])
+    W = wreath_group(G, level[1])
+    for i in data.draw(st.lists(st.integers(0, W.order - 1), min_size=1,
+                                max_size=8)):
+        x = W.elements[i]
+        assert type_of(G, x) == type_by_checked_counts(G, x)
+
+
 @pytest.mark.parametrize("name,n", [("C2", 3), ("C3", 2), ("S3", 2)])
 def test_types_are_exactly_the_conjugacy_classes(name, n):
     # brute-force conjugation orbits vs the type invariant
