@@ -201,9 +201,9 @@ def hom_from_json(doc: dict, dom: FiniteGroup | None = None,
                   cod: FiniteGroup | None = None) -> Homomorphism:
     """Homomorphism from generator images on the domain's stored generators.
 
-    The map is extended along the edges of the Cayley graph of those
-    generators, and checked on every edge, exactly as
-    `hom_from_generator_images` does.
+    Built by `hom_from_generator_images`: images are assigned along the
+    spanning tree of those generators, each generator is checked to map to
+    its given image, and `Homomorphism.verify` proves the map on every edge.
     """
     if not isinstance(doc, dict):
         raise ValueError("a homomorphism is a JSON object with "

@@ -5,13 +5,14 @@ Elements are addressed by stable integer indices; the descriptor type
 multiplication of each construction.  Index 0 is always the identity.
 
 Bulk operations walk the Cayley graph of a generating set instead of
-multiplying all pairs: `Homomorphism.verify`, `hom_from_generator_images`
-and `subgroup` check every edge (x, x*s), |G| * #gens of them.  They read
-each edge off the right-multiplication column of s (`FiniteGroup.column`),
-the index sequence x -> x*s, made once per element and cached on the
-group.  `verify` and the conjugation orbits handle a whole column at once,
-gathering index sequences through one another (`_gather`) rather than
-stepping edge by edge.  A column costs |G| native products, or none where
+multiplying all pairs: `Homomorphism.verify` and `subgroup` check every
+edge (x, x*s), |G| * #gens of them.  `verify` is the one homomorphism edge
+check: `hom_from_generator_images` assigns images along a spanning tree
+and proves the map with it.  Edges are read off the right-multiplication
+column of s (`FiniteGroup.column`), the index sequence x -> x*s, made once
+per element and cached on the group.  `verify` and the conjugation orbits
+handle a whole column at once, gathering index sequences through one
+another (`_gather`) rather than stepping edge by edge.  A column costs |G| native products, or none where
 the group has a Cayley table or its construction gives the column: the
 permutation closure keeps the columns of its generators, a direct product
 reads the factors' columns at i*|H| + j, a subgroup the ambient column,
@@ -21,11 +22,16 @@ constructions derive their inverse arrays the same way.
 Every walk is a breadth-first queue, a list that grows while it is read,
 and every orbit split is one `_orbit_partition`: the conjugacy classes and
 the double cosets that `pullback` counts.
-The Cayley table, `verify` and the conjugacy classes walk one generating
-set per group (`FiniteGroup._spanning_generators`): the permutation
-closure, `subgroup` and `direct_product` record the one their construction
-proves, any other group decides it once, since stored generators need not
-generate the group.
+The Cayley table, `verify`, the conjugacy classes, `centralizer` and
+`hom_from_generator_images` use one generating set per group
+(`FiniteGroup._spanning_generators`): the permutation closure, `subgroup`
+and `direct_product` record the one their construction proves, any other
+group decides it once, since stored generators need not generate the
+group.  The group keeps one breadth-first spanning tree of the Cayley
+graph of that set (`_spanning_tree`), walked once, on first use, and its
+conjugation steps (`_spanning_steps`), made once: the Cayley table,
+`centralizer`, `hom_from_generator_images` on that set and
+`conjugation_orbits` read them rather than walking again.
 Conjugacy classes take one class-data form (`ConjugacyClasses`): sizes, a
 classifier of descriptors, and representatives and a class array made on
 first use.  Orbit-computed groups hold their array from the start; direct
@@ -33,10 +39,11 @@ products and wreath levels make it only when it is read.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
-which builds it for its ambient group before the element sweep.  Table-less
-`mul` is left to that sweep above the table limit, to `element_order` and
-`conj`, and to `check_group_axioms` through the native products of direct
-products, subgroups and wreath levels.
+which builds it for its ambient group before the element sweep; a group
+built with neither an inverse rule nor inverses reads its inverses off
+the table too.  Table-less `mul` is left to that sweep above the table
+limit, to `element_order` and `conj`, and to `check_group_axioms` through
+the native products of direct products, subgroups and wreath levels.
 """
 
 from __future__ import annotations
@@ -320,7 +327,7 @@ class FiniteGroup:
         self._order = order if order is not None else (
             len(self._elements) if self._elements is not None else None)
         self._gen_descs = tuple(generators)
-        self._spanning = None
+        self._spanning = self._tree = None
         self._classes = None
         self._index: dict | None = None
         self._table = None
@@ -373,13 +380,35 @@ class FiniteGroup:
         """A generating set, decided once: the stored generators if they
         reach every element, else `find_generators`.  The permutation
         closure, `subgroup` and `direct_product` record theirs when they
-        build the group, as their construction proves it generates."""
+        build the group, as their construction proves it generates; any
+        other group decides it by the walk of `_spanning_tree`."""
         if self._spanning is None:
-            gens = list(self.generator_indices)
-            if len(self._generator_columns(gens)[1]) < self.order - 1:
-                gens = find_generators(self)
-            self._spanning = gens
+            self._spanning_tree()
         return self._spanning
+
+    def _spanning_tree(self) -> list[tuple]:
+        """The edges (w, parent, k), w = parent * gens[k], of the
+        breadth-first spanning tree of the Cayley graph of
+        `_spanning_generators` (`_generator_columns`), walked once and kept.
+
+        On a group with no recorded generating set, the walk of the stored
+        generators decides it: they are kept if the walk spans the group,
+        else `find_generators` replaces them and is walked instead."""
+        if self._tree is None:
+            # a recorded set is empty only on a trivial group, where any spans
+            gens = self._spanning or list(self.generator_indices)
+            tree = self._generator_columns(gens)
+            if len(tree) < self.order - 1:
+                gens = find_generators(self)
+                tree = self._generator_columns(gens)
+            self._spanning, self._tree = gens, tree
+        return self._tree
+
+    @functools.cached_property
+    def _spanning_steps(self) -> list[tuple]:
+        """The conjugation steps of `_spanning_generators`
+        (`_conjugation_steps`), made once and kept."""
+        return _conjugation_steps(self, self._spanning_generators())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -402,15 +431,9 @@ class FiniteGroup:
         els = self.elements
         if self._inv_desc is not None:
             return array("i", (self.index_of(self._inv_desc(d)) for d in els))
-        inv = array("i", [-1] * self.order)
-        for i in range(self.order):
-            if inv[i] >= 0:
-                continue
-            for j in range(self.order):
-                if self.mul(i, j) == 0:
-                    inv[i], inv[j] = j, i
-                    break
-        return inv
+        # no inverse rule: the identity's place in each Cayley table row
+        t, n = self.cayley_table(), self.order
+        return array("i", (t.index(0, i * n) - i * n for i in range(n)))
 
     def conj(self, s: int, x: int) -> int:
         """s * x * s^-1"""
@@ -452,40 +475,40 @@ class FiniteGroup:
 
         Starts from the columns x*s of the generators s of
         `_spanning_generators` (`column`, at most |G| native products per
-        generator).  Every other column follows by array lookups along a
-        breadth-first spanning tree of the Cayley graph: the column of w*s
-        is the column of s read at the column of w, as x*(w*s) = (x*w)*s.
+        generator).  Every other column follows by array lookups along the
+        kept spanning tree (`_spanning_tree`): the column of w*s is the
+        column of s read at the column of w, as x*(w*s) = (x*w)*s.
         """
         if self._table is None:
             n = self.order
             if n > TABLE_LIMIT:
                 raise ResourceLimitError(
                     f"no Cayley table above order {TABLE_LIMIT} (|{self.label}| = {n})")
-            cols, tree = self._generator_columns(self._spanning_generators())
+            cols = list(map(self.column, self._spanning_generators()))
             t = array("i", bytes(4 * n * n))
             t[0::n] = array("i", range(n))
-            for w, parent, k in tree:
+            for w, parent, k in self._spanning_tree():
                 t[w::n] = array("i", _gather(cols[k], t[parent::n]))
             self._table = t
         return self._table
 
-    def _generator_columns(self, gens):
-        """The columns x -> x*s of the generators s, and the edges
-        (w, parent, k) with w = parent * gens[k] of a breadth-first spanning
-        tree of the part of the Cayley graph they reach from the identity."""
-        cols = [self.column(s) for s in gens]
+    def _generator_columns(self, gens) -> list[tuple]:
+        """The edges (w, parent, k) with w = parent * gens[k] of a
+        breadth-first spanning tree of the part of the Cayley graph of gens
+        that they reach from the identity, read off their columns."""
+        cols = list(enumerate(map(self.column, gens)))
         seen = bytearray(self.order)
         seen[0] = 1
         tree = []
         queue = [0]
         for x in queue:
-            for k, col in enumerate(cols):
+            for k, col in cols:
                 y = col[x]
                 if not seen[y]:
                     seen[y] = 1
                     tree.append((y, x, k))
                     queue.append(y)
-        return cols, tree
+        return tree
 
     # -- conjugacy -----------------------------------------------------
 
@@ -552,13 +575,13 @@ def group_from_permutation_generators(degree, generators, label=None):
 def conjugation_orbits(G: FiniteGroup, gens=None):
     """Brute-force conjugacy classes: orbit closure under conjugation.
 
-    Conjugating by a generating set (by default `_spanning_generators`)
-    reaches the full orbit.  Returns (class_of, rep_descs, sizes) with
-    classes ordered by least member index, so representatives are the least
-    index in each class.
+    Conjugating by a generating set (by default `_spanning_generators`,
+    whose steps the group keeps) reaches the full orbit.  Returns
+    (class_of, rep_descs, sizes) with classes ordered by least member index,
+    so representatives are the least index in each class.
     """
-    orbits = _orbit_partition(range(G.order), _conjugation_steps(
-        G, G._spanning_generators() if gens is None else gens))
+    orbits = _orbit_partition(range(G.order), G._spanning_steps
+                              if gens is None else _conjugation_steps(G, gens))
     class_of = array("i", bytes(4 * G.order))
     for k, orbit in enumerate(orbits):
         for y in orbit:
@@ -612,16 +635,17 @@ def find_generators(G: FiniteGroup) -> list[int]:
 def centralizer(G: FiniteGroup, x: int) -> list[int]:
     """All s with s*x == x*s; a subgroup containing the identity.
 
-    Walks the spanning tree of the Cayley graph of `_spanning_generators`
-    (`_generator_columns`) from the identity, carrying conj[w] = w^-1 x w:
-    along an edge w -> w*g, conj[w*g] = g^-1 conj[w] g is the conjugation
-    step of g (`_conjugation_steps`) read at conj[w].  It keeps each s with
-    conj[s] == x, and needs the generators' columns only, no column of x.
+    Reads the kept spanning tree (`_spanning_tree`) from the identity,
+    carrying conj[w] = w^-1 x w: along an edge w -> w*g, conj[w*g] =
+    g^-1 conj[w] g is the kept conjugation step of g (`_spanning_steps`)
+    read at conj[w].  It keeps each s with conj[s] == x, and needs the
+    generators' columns only, no column of x.  x is an element index or a
+    descriptor (`_as_index`); an index outside 0..|G|-1 raises ValueError.
     """
-    gens = G._spanning_generators()
-    steps = _conjugation_steps(G, gens)
+    x = _as_index(G, x)
+    steps = G._spanning_steps
     conj = [x] * G.order
-    for w, parent, k in G._generator_columns(gens)[1]:
+    for w, parent, k in G._spanning_tree():
         conj[w] = steps[k][conj[parent]]
     return [s for s, y in enumerate(conj) if y == x]
 
@@ -630,12 +654,16 @@ def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
     """Subgroup on a subset of element indices, plus its inclusion.
 
     The subset is verified to be a subgroup by `find_generators_on`, which
-    raises NotASubgroupError; descriptors of the subgroup are the ambient
-    indices, listed in increasing order.
+    raises NotASubgroupError, as does a member that is not an element
+    index of G; descriptors of the subgroup are the ambient indices, listed
+    in increasing order.
 
     Returns (S, incl).
     """
     idxs = sorted(set(members))
+    for i in idxs[:1] + idxs[-1:]:         # the least and the greatest
+        if not 0 <= i < G.order:
+            raise NotASubgroupError(f"not a subgroup: no element {i} in {G.label}")
     gens = find_generators_on(G, idxs)
 
     def column(s):
@@ -830,53 +858,38 @@ def compose_homs(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
 
 def hom_from_generator_images(dom, gens, cod, images, label=""):
     """The homomorphism sending the given generators of dom to the given
-    images, extended along the edges of their Cayley graph.
+    images.
 
-    Every edge (x, x*s) is checked while extending, which proves the map
-    multiplicative on all pairs (see `Homomorphism.verify`).  Raises
+    Images are assigned along the breadth-first spanning tree of the Cayley
+    graph of gens (the kept `_spanning_tree` when gens are dom's spanning
+    generators): f(e) = e and f(w*s) = f(w)*f(s) on each tree edge.  Only
+    a homomorphism can be so assigned, so the map is then checked to send
+    each generator to its image and proved multiplicative by
+    `Homomorphism.verify`, the one edge check.  Raises
     NotAHomomorphismError if the images are inconsistent, ValueError if the
-    generators do not generate dom.  Generators and images may be element
-    indices or descriptors.
+    counts differ or the generators do not generate dom.  Generators and
+    images may be element indices or descriptors.
     """
     gidx = [_as_index(dom, g) for g in gens]
     himg = [_as_index(cod, h) for h in images]
     if len(gidx) != len(himg):
         raise ValueError("generator/image count mismatch")
-    img = _extend_along_edges(dom, gidx, cod, himg)
-    seen = dom.order - img.count(-1)
-    if seen < dom.order:
+    tree = dom._spanning_tree() if gidx == dom._spanning_generators() \
+        else dom._generator_columns(gidx)
+    if len(tree) < dom.order - 1:
         raise ValueError(
             f"generators do not generate {dom.label} "
-            f"(reached {seen} of {dom.order})")
-    return Homomorphism(dom, cod, images=img, label=label)
-
-
-def _extend_along_edges(dom, gens, cod, gen_images) -> list[int]:
-    """Images of a map with f(e) = e and f(x*s) = f(x)*f(s) on every edge of
-    the Cayley graph of gens, walked breadth-first from the identity; -1
-    marks elements the generators do not reach.
-
-    Raises NotAHomomorphismError at the first edge whose image disagrees
-    with the one already assigned: no homomorphism sends gens to gen_images.
-    """
-    img = [-1] * dom.order
-    img[0] = 0
-    edges = [(s, dom.column(s), cod.column(fs))
-             for s, fs in zip(gens, gen_images)]
-    queue = [0]
-    for x in queue:
-        fx = img[x]
-        for s, col, fcol in edges:
-            y = col[x]
-            fy = fcol[fx]
-            if img[y] < 0:
-                img[y] = fy
-                queue.append(y)
-            elif img[y] != fy:
-                raise NotAHomomorphismError(
-                    "not a homomorphism: inconsistent generator images "
-                    f"at edge ({x}, {s})")
-    return img
+            f"(reached {len(tree) + 1} of {dom.order})")
+    fcols = [cod.column(h) for h in himg]
+    img = [0] * dom.order
+    for w, parent, k in tree:
+        img[w] = fcols[k][img[parent]]
+    if list(_gather(img, gidx)) != himg:
+        raise NotAHomomorphismError(
+            "not a homomorphism: inconsistent generator images")
+    f = Homomorphism(dom, cod, images=img, label=label)
+    f.verify()
+    return f
 
 
 def _as_index(G: FiniteGroup, x) -> int:

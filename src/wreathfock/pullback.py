@@ -29,9 +29,9 @@ from typing import NamedTuple, Optional
 
 from . import ratlinalg
 from .classfun import indicator, pullback_along
-from .groups import (FiniteGroup, Homomorphism, _conjugation_steps, _gather,
-                     _orbit_partition, centralizer, compose_homs,
-                     direct_product, find_generators_on, subgroup)
+from .groups import (FiniteGroup, Homomorphism, _gather, _orbit_partition,
+                     centralizer, compose_homs, direct_product,
+                     find_generators_on, subgroup)
 from .wreath import (WreathElement, WreathGroup, _colored_partitions,
                      quotient_to_symmetric, split_type, wreath_group)
 
@@ -124,10 +124,11 @@ def class_pair_splitting(alpha: Homomorphism, beta: Homomorphism) -> list[int]:
     for g in G.classes.reps:
         k = alpha(g)
         left = sorted({alpha(s) for s in centralizer(G, g)})
+        mid = centralizer(K, k)
         for gam in range(H.classes.num_classes):
             h = over.get((gam, k))
-            hits.append(0 if h is None else _double_cosets(
-                K, left, centralizer(K, k), right(h)))
+            hits.append(0 if h is None else
+                        _double_cosets(K, left, mid, right(h)))
     return hits
 
 
@@ -394,7 +395,7 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
         parts = tuple(pair_index[(a, b)] for a, b in zip(xa.parts, xb.parts))
         return WreathElement(parts, xa.perm)
 
-    steps = _conjugation_steps(amb, amb.generator_indices)
+    steps = amb._spanning_steps
     out = []
     for idx, t in enumerate(W.types):
         if not (len(t.entries) == 1 and t.entries[0][0] == n

@@ -284,11 +284,15 @@ def centralizer_order(G: FiniteGroup, t: TypeMatrix) -> int:
     """|C(x)| in G wr S_n for x of type t:
     product over entries of (r * |C_G(g_c)|)^m * m!.
 
-    A single n-cycle typed by class c gives n * |C_G(g_c)|.
+    A single n-cycle typed by class c gives n * |C_G(g_c)|.  Raises
+    ValueError for an entry whose base class c is not a class of G.
     """
     z = G.classes.centralizer_orders
     total = 1
     for r, c, m in t.entries:
+        if c >= len(z):
+            raise ValueError(f"type entry {[r, c, m]} names base class {c}, "
+                             f"but {G.label} has {len(z)} classes")
         total *= (r * z[c]) ** m * math.factorial(m)
     return total
 

@@ -706,6 +706,106 @@ def test_centralizer_makes_no_product_and_no_column_of_x(G, data):
     assert got == [s for s in range(G.order) if G.mul(s, x) == G.mul(x, s)]
 
 
+@pytest.mark.parametrize("x", [-1, 6, 9])
+def test_centralizer_refuses_an_index_outside_the_group(S3, x):
+    with pytest.raises(ValueError, match=f"^index {x} out of range for S3$"):
+        centralizer(S3, x)
+
+
+@pytest.mark.parametrize("members,bad", [([0, 7], 7), ([0, -1], -1),
+                                         ([-2, 0, 1, 6], -2)])
+def test_subgroup_refuses_an_index_outside_the_group(S3, members, bad):
+    with pytest.raises(NotASubgroupError,
+                       match=f"^not a subgroup: no element {bad} in S3$"):
+        subgroup(S3, members)
+
+
+# ---------------------------------------------------------------------------
+# the kept spanning tree
+
+
+@walk_settings
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3),
+       st.sampled_from(SMALL_LEVELS), st.booleans())
+def test_kept_tree_spans_and_each_child_is_parent_times_generator(G, H, level,
+                                                                  partial):
+    stored = with_generators(G, G.generator_indices[:1] if partial else
+                             G.generator_indices)
+    for A in (G, stored, direct_product(G, H)[0],
+              WreathGroup(catalog_group(level[0]), level[1])):
+        tree = A._spanning_tree()
+        gens, els = A._spanning_generators(), A.elements
+        assert A._spanning_tree() is tree
+        assert sorted(w for w, _, _ in tree) == list(range(1, A.order))
+        reached = {0}
+        for w, parent, k in tree:
+            assert parent in reached        # walk order: parents first
+            assert A.index_of(A._mul_desc(els[parent], els[gens[k]])) == w
+            reached.add(w)
+
+
+def _fresh_group(name):
+    S3, D12 = catalog_group("S3"), catalog_group("D12")
+    t = S3.index_of(Permutation.from_cycles(3, [(0, 1)]))
+    return {"closure": lambda: catalog_group.__wrapped__("S4"),
+            "stored generators": lambda: catalog_group.__wrapped__("Dic3"),
+            "wreath level": lambda: WreathGroup(S3, 2),
+            "restored": lambda: with_generators(D12, D12.generator_indices),
+            "not generating": lambda: with_generators(S3, [t])}[name]()
+
+
+# "not generating": one walk tests the stored generators, one walks
+# find_generators
+@pytest.mark.parametrize("name,walks", [
+    ("closure", 1), ("stored generators", 1), ("wreath level", 1),
+    ("restored", 1), ("not generating", 2)])
+def test_spanning_walk_is_made_once_per_group(name, walks):
+    A = _fresh_group(name)
+    made = []
+    walk = FiniteGroup._generator_columns
+
+    def counted(self, gens):
+        if self is A:
+            made.append(list(gens))
+        return walk(self, gens)
+
+    with mock.patch.object(FiniteGroup, "_generator_columns", counted):
+        gens = A._spanning_generators()
+        A.cayley_table()
+        for r in A.classes.reps:
+            centralizer(A, r)
+        hom_from_generator_images(A, gens, A, gens)
+        Homomorphism(A, A, range(A.order)).verify()
+    assert len(made) == walks and made[-1] == gens
+
+
+def test_hom_from_generator_images_keeps_its_error_types(S3, C2):
+    t, c = S3.generator_indices
+    # a repeated generator sent to two images
+    with pytest.raises(NotAHomomorphismError, match="^not a homomorphism:"):
+        hom_from_generator_images(S3, [t, c, t], C2, [1, 0, 0])
+    # the identity, as a generator, sent off the identity
+    with pytest.raises(NotAHomomorphismError, match="^not a homomorphism:"):
+        hom_from_generator_images(S3, [t, c, 0], C2, [1, 0, 1])
+    # consistent on the generators' tree, not multiplicative
+    with pytest.raises(NotAHomomorphismError, match="^not a homomorphism:"):
+        hom_from_generator_images(S3, [t, c], C2, [0, 1])
+    for gens, images, match in (([t], [1], "do not generate S3"),
+                                ([t, c], [1], "count mismatch")):
+        with pytest.raises(ValueError, match=match) as err:
+            hom_from_generator_images(S3, gens, C2, images)
+        assert not isinstance(err.value, NotAHomomorphismError)
+
+
+@walk_settings
+@given(perm_groups(max_degree=4))
+def test_inverses_without_an_inverse_rule_are_read_off_the_table(G):
+    A = FiniteGroup(G.label, G.elements, Permutation.__mul__,
+                    generators=[G.elements[g] for g in G.generator_indices])
+    assert [A.inv(x) for x in range(A.order)] == \
+        [G.index_of(d.inverse()) for d in G.elements]
+
+
 perms_upto6 = st.integers(1, 6).flatmap(
     lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d))))
 

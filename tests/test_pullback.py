@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_groups import SMALL_LEVELS, closure, native_table, perm_groups
@@ -394,6 +394,53 @@ def test_closedness_witness_is_the_by_ambient_rule(G, level, data):
                                    max_size=2))
         incl = subgroup(A, closure(table, picks))[1]
         assert is_conjugacy_closed(incl) == by_ambient_rule(incl)
+
+
+# generating sets of subgroups of S2, S3 and S4, the non-abelian ones
+# first: S3, D8, A4, S4; S2, C3, C2, C4, V4
+BLOCK_TOPS = [[(1, 0, 2), (1, 2, 0)], [(1, 2, 3, 0), (2, 1, 0, 3)],
+              [(1, 2, 0, 3), (1, 0, 3, 2)], [(1, 0, 2, 3), (1, 2, 3, 0)],
+              [(1, 0)], [(1, 2, 0)], [(1, 0, 2, 3)], [(1, 2, 3, 0)],
+              [(1, 0, 3, 2), (2, 3, 0, 1)]]
+
+
+@st.composite
+def block_pullbacks(draw, max_order=96, max_carrier=288):
+    """Structure maps (alpha, beta) onto a K <= S_k, k in 2..4, from G and H
+    <= S_b wr S_k, acting on k blocks of b points, that share a block
+    action.  The top permutations generate K (`BLOCK_TOPS`); G and H each
+    lift them with parts of their own drawn from S_b, and may add one
+    element fixing every block, so both map onto K by their action on the
+    blocks."""
+    tops = draw(st.sampled_from(BLOCK_TOPS))
+    k = len(tops[0])
+    b = draw(st.integers(1, 3 if k == 2 else 2))
+    K = group_from_permutation_generators(k, map(Permutation, tops),
+                                          label=f"K{k}")
+    parts = st.lists(st.permutations(range(b)), min_size=k, max_size=k)
+
+    def lift():
+        # (p, top) moves point j*b + i of block j to top[j]*b + p[j][i]
+        gens = [(draw(parts), top) for top in tops]
+        gens += [(p, range(k)) for p in draw(st.lists(parts, max_size=1))]
+        G = group_from_permutation_generators(b * k, [
+            Permutation(top[j] * b + p[j][i] for j in range(k)
+                        for i in range(b)) for p, top in gens])
+        assume(G.order <= max_order)
+        return hom_from_generator_images(G, G.generator_indices, K, [
+            K.index_of(Permutation(top)) for _, top in gens])
+
+    alpha, beta = lift(), lift()
+    assume(alpha.dom.order * beta.dom.order // K.order <= max_carrier)
+    return alpha, beta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_pullbacks())
+def test_block_pullbacks_match_oracles_and_the_witness_rule(maps):
+    pb = build_pullback(*maps)
+    check_against_oracles(pb)
+    assert is_conjugacy_closed(pb.incl) == by_ambient_rule(pb.incl)
 
 
 @pytest.mark.parametrize("base,n", [("C2", 3), ("C4", 2), ("S3", 2),

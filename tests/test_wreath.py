@@ -329,6 +329,11 @@ def test_level_centralizers_are_the_per_type_formula_on_random_bases(G, n):
     assert_walk_orders_are_the_per_type_formula(G, n)
 
 
+def test_centralizer_order_refuses_a_class_outside_the_base(S3):
+    with pytest.raises(ValueError, match=r"base class 5.*S3 has 3 classes"):
+        centralizer_order(S3, TypeMatrix([(1, 5, 1)]))
+
+
 def test_single_cycle_centralizer_formula(S3):
     # an n-cycle over class c has centralizer of order n * |C_G(g)|
     n = 3
