@@ -24,7 +24,7 @@ from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
 from .pullback import (build_pullback, class_pair_splitting,
                        decomposition_report, is_conjugacy_closed,
                        n_cycle_classes_closed, splitting_pattern)
-from .wreath import TypeMatrix, _colored_partitions, _level, centralizer_order
+from .wreath import TypeMatrix, _level, centralizer_order, class_count_series
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -305,18 +305,26 @@ def cmd_fock_basis(args) -> int:
     G = _load_base(args.group)
     if args.level > args.max_level:
         raise ValueError(f"level {args.level} above --max-level {args.max_level}")
-    # The change-of-basis matrix is diagonal with entry prod m_i! at each
-    # type (see fock.py), so its determinant is the product of the entries
-    # and never vanishes.  Its digits come from Decimal, which is exact on
-    # an int and not bound by the interpreter's int-to-string digit limit.
+    # The change-of-basis matrix is diagonal with entry prod m! over the
+    # entries (r, c, m) of each type (see fock.py), so its determinant is
+    # the product of the entries and never vanishes.  It is read off the
+    # class counts P(i) of the k-colored partitions of i, zero for i < 0,
+    # with no type listed: the types holding entry (r, c, m) are, with it
+    # taken out, the colored partitions of n - r m with no part (r, c),
+    # counted by (1 - q^r) prod_s (1 - q^s)^-k at q^(n - r m), which is
+    # P(n - r m) - P(n - r m - r) for each of the k colors c.  Its digits
+    # come from Decimal, which is exact on an int and not bound by the
+    # interpreter's int-to-string digit limit.
     from decimal import Decimal
-    types = _colored_partitions(G.classes.num_classes, args.level)
-    d = str(Decimal(math.prod(math.factorial(m)
-                              for t in types for _, _, m in t.entries)))
-    doc = {"group": G.label, "level": args.level, "dimension": len(types),
+    k, n = G.classes.num_classes, args.level
+    P = dict(enumerate(class_count_series(k, n)))
+    d = str(Decimal(math.prod(
+        math.factorial(m) ** (k * (P[n - r * m] - P.get(n - r * m - r, 0)))
+        for r in range(1, n + 1) for m in range(2, n // r + 1))))
+    doc = {"group": G.label, "level": n, "dimension": P[n],
            "determinant": f"{d}/1", "invertible": True}
     _emit(args, doc,
-          f"level {args.level} over {G.label}: {len(types)} generator "
+          f"level {n} over {G.label}: {P[n]} generator "
           f"monomials, determinant {d}, invertible: True")
     return 0
 

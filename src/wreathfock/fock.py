@@ -42,8 +42,9 @@ and the ``"elements"`` strategy multiplies its class functions out.
 Everything here except the ``"elements"`` strategy is class-level work on
 the types of each level, so it is bounded by the level (``--max-level``),
 never by the element cap: levels come from `wreath._level`, which builds
-class data only.  The Künneth identity is checked on types alone, without
-building G x H or any of its wreath levels.
+class data only.  The Künneth identity is decided from class counts
+(`pullback.n_cycle_classes_closed`), without building G x H or any of its
+wreath levels, and without listing their types.
 """
 
 from __future__ import annotations
@@ -243,14 +244,15 @@ def kunneth_generator_identity(G: FiniteGroup, H: FiniteGroup, n: int,
     (G x H) wr S_n -> (G wr S_n) x (H wr S_n) gives exactly
     delta_{G x H}(n, c x d).
 
-    Both sides are compared class by class on the types of (G x H) wr S_n,
-    whose colors are the pairs c * kH + d: the left side is 1 on a type
-    whose projections (`split_type`) are the two single n-cycle types, the
-    right side on the single n-cycle type colored c * kH + d, which has
-    those projections.  So the identity holds iff that type is the only
-    one over its projections: iff its class is closed, as
-    `pullback.n_cycle_classes_closed` decides for every (c, d) in one pass
-    over the types.  No group is built.
+    Both sides are class functions on (G x H) wr S_n, whose colors are the
+    pairs c * kH + d: the left side is 1 on the types whose projections,
+    each entry's color split into its G- and H-class, are the two single
+    n-cycle types, the right side on the single n-cycle type colored
+    c * kH + d, which has those projections.  So the identity holds iff
+    that type is the only one over its projections: iff its class is
+    closed, which `pullback.n_cycle_classes_closed` decides for every
+    (c, d) from the class count of the level.  No group is built, and no
+    type of (G x H) wr S_n but the single n-cycle ones.
     """
     kG, kH = G.classes.num_classes, H.classes.num_classes
     if n < 1 or not (0 <= c < kG and 0 <= d < kH):

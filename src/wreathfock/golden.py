@@ -15,8 +15,8 @@ from .classfun import indicator, induce
 from .fock import (change_of_basis, delta, fock_product,
                    graded_dimension_series, kunneth_generator_identity)
 from .groups import Permutation, hom_from_generator_images, subgroup
-from .pullback import (build_pullback, fusion_pattern, semidirect_product_iso,
-                       verify_class_ring_decomposition)
+from .pullback import (build_pullback, fusion_pattern, n_cycle_closed_brute,
+                       semidirect_product_iso, verify_class_ring_decomposition)
 from .wreath import WreathElement, type_of
 
 
@@ -164,9 +164,13 @@ def check_series():
 
 
 def check_kunneth():
-    """The generator identity over C2 x C3, levels 1 and 2, all colors."""
+    """The generator identity over C2 x C3, levels 1 and 2, all colors: it
+    holds by class counts and its n-cycle class is closed by elements
+    (`n_cycle_closed_brute`)."""
     C2, C3 = catalog_group("C2"), catalog_group("C3")
+    by_elements = {n: n_cycle_closed_brute(C2, C3, n) for n in (1, 2)}
     results = [kunneth_generator_identity(C2, C3, n, c, d)
+               and by_elements[n][c * 3 + d][2]
                for n in (1, 2) for c in range(2) for d in range(3)]
     return ("kunneth-generators", all(results),
             f"{sum(results)}/{len(results)} color pairs agree at levels 1-2")

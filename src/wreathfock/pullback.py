@@ -32,8 +32,8 @@ from .classfun import indicator, pullback_along
 from .groups import (FiniteGroup, Homomorphism, _gather, _orbit_partition,
                      centralizer, compose_homs, direct_product,
                      find_generators_on, subgroup)
-from .wreath import (WreathElement, WreathGroup, _colored_partitions,
-                     quotient_to_symmetric, split_type, wreath_group)
+from .wreath import (TypeMatrix, WreathElement, WreathGroup, _check_level,
+                     class_count_series, quotient_to_symmetric, wreath_group)
 
 
 class PullbackGroup(NamedTuple):
@@ -359,20 +359,28 @@ def semidirect_product_iso(A: FiniteGroup, B: FiniteGroup, n: int):
 
 def n_cycle_classes_closed(A: FiniteGroup, B: FiniteGroup, n: int):
     """For every class of (A x B) wr S_n whose permutation part is a single
-    n-cycle, decide whether it is closed in A_n x B_n, by type arithmetic:
-    the class is closed iff no other class projects to the same pair of
-    types (`split_type`).  The classes are the colored partitions of n over
-    the kA * kB class pairs of A x B, so neither A x B nor its wreath level
-    is built.  Returns a list of (class_index, type, closed), one per class
-    pair (c, d), in the order c * kB + d of the types' colors."""
-    kB = B.classes.num_classes
-    types = _colored_partitions(A.classes.num_classes * kB, n)
-    projections = [split_type(t, kB) for t in types]
-    shared = Counter(projections)
-    return [(idx, t, shared[projections[idx]] == 1)
-            for idx, t in enumerate(types)
-            if len(t.entries) == 1 and t.entries[0][0] == n
-            and t.entries[0][2] == 1]
+    n-cycle, decide whether it is closed in A_n x B_n, from class counts.
+
+    The class of a type over A x B, whose colors are the pairs c * kB + d,
+    is closed iff no other type has the same pair of projections, the A-
+    and B-types made by splitting each entry's color.  Projecting keeps
+    every cycle length, so a type over the single n-cycle types colored c
+    and d has one entry (n, e, 1), with e = c * kB + d: every such class is
+    closed.  Each other type has an entry of length r < n, and entry tuples
+    compare by their first triple, so in canonical order the k = kA * kB
+    single n-cycle types come last, color e at class index P_k(n) - k + e,
+    P_k(n) the class count of the level (`class_count_series`).  Neither
+    A x B nor its wreath level is built, and no other type is made; the
+    walk over every type and its projections is the test oracle.  Returns
+    a list of (class_index, type, closed), one per class pair (c, d), in
+    the order c * kB + d of the types' colors; [] at n = 0.
+    """
+    _check_level(n)
+    if n == 0:
+        return []
+    k = A.classes.num_classes * B.classes.num_classes
+    first = class_count_series(k, n)[n] - k
+    return [(first + e, TypeMatrix.single(n, e), True) for e in range(k)]
 
 
 def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):

@@ -220,15 +220,6 @@ def _type_walk(n: int, z, leaf) -> None:
         leaf([], 1)     # the empty type
 
 
-def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
-    """The types of G wr S_n for a base with k classes, in canonical order
-    (`_type_walk`)."""
-    types: list[TypeMatrix] = []
-    _type_walk(n, (1,) * k,
-               lambda acc, cent: types.append(TypeMatrix._unchecked(tuple(acc))))
-    return types
-
-
 def _type_count(k: int, n: int) -> int:
     """The number of types of G wr S_n for a base with k classes: the
     leaves of `_type_walk`, counted without building a type."""
@@ -295,19 +286,6 @@ def centralizer_order(G: FiniteGroup, t: TypeMatrix) -> int:
                              f"but {G.label} has {len(z)} classes")
         total *= (r * z[c]) ** m * math.factorial(m)
     return total
-
-
-def split_type(t: TypeMatrix, kH: int) -> tuple[TypeMatrix, TypeMatrix]:
-    """The G- and H-types of a type over G x H, whose base classes are the
-    lexicographic pairs c * kH + d of a G-class c and an H-class d.
-
-    A cycle of (G x H) wr S_n with cycle product (a, b) is a cycle of the
-    same length in each factor, with cycle products a and b, so projecting
-    each entry's color gives the types of both images under the diagonal
-    map (G x H) wr S_n -> (G wr S_n) x (H wr S_n).
-    """
-    return (TypeMatrix([(r, c // kH, m) for r, c, m in t.entries]),
-            TypeMatrix([(r, c % kH, m) for r, c, m in t.entries]))
 
 
 # ---------------------------------------------------------------------------

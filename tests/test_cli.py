@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from wreathfock import catalog, cli, groups, pullback, ratlinalg
+from wreathfock import catalog, cli, groups, pullback, ratlinalg, wreath
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
 from wreathfock.fock import change_of_basis
@@ -248,6 +249,50 @@ def test_fock_basis_determinant_past_the_int_string_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def assert_basis_is_the_product(doc: dict, weights: list[int]) -> None:
+    """A `fock basis` document against the weights of its level: as many
+    monomials, and the product of the weights (taken one power per
+    distinct value) as the determinant."""
+    digits, one = doc["determinant"].split("/")
+    want = math.prod(w ** e for w, e in Counter(weights).items())
+    assert doc["dimension"] == len(weights)
+    assert Decimal(digits) == Decimal(want) and one == "1"
+
+
+# a catalog base with each number of classes from 1 to 6
+BASES_BY_CLASSES = {1: "trivial", 2: "C2", 3: "C3", 4: "C4", 5: "D8",
+                    6: "Dic3"}
+
+
+@pytest.mark.parametrize("k,group", sorted(BASES_BY_CLASSES.items()))
+def test_fock_basis_class_count_route_is_the_product_over_types(capsys, k,
+                                                                group):
+    assert catalog_group(group).classes.num_classes == k
+    for n in range(9):
+        assert main(["fock", "basis", group, "--level", str(n),
+                     "--max-level", str(n), "--format", "json"]) == 0
+        assert_basis_is_the_product(json.loads(capsys.readouterr().out),
+                                    factorial_weights(k, n))
+
+
+def test_fock_kunneth_and_basis_list_no_type(capsys, monkeypatch):
+    # both commands read class counts, so the walk over a level's types,
+    # which every listing of them goes through, never runs
+    def refuse(*args):
+        raise AssertionError("the types of a level were listed")
+
+    monkeypatch.setattr(wreath, "_type_walk", refuse)
+    assert main(["fock", "kunneth", "D8", "Dic3", "--max-level", "6",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "G": "D8", "H": "Dic3", "max_level": 6, "checks": 180,
+        "all_equal": True}
+    assert main(["fock", "basis", "Dic3", "--level", "10", "--max-level", "10",
+                 "--format", "json"]) == 0
+    assert_basis_is_the_product(json.loads(capsys.readouterr().out),
+                                factorial_weights(6, 10))
+
+
 def test_fock_basis_respects_level_cap(capsys):
     assert main(["fock", "basis", "C2", "--level", "9"]) == 2
 
@@ -351,7 +396,8 @@ def test_repeated_type_entries_are_summed(capsys, argv, flag, repeated,
 
 
 @pytest.mark.parametrize("group,level", [("trivial", 4), ("C2", 4),
-                                         ("S3", 3), ("Dic3", 2)])
+                                         ("S3", 3), ("Dic3", 2), ("C3", 3),
+                                         ("D8", 2)])
 def test_fock_basis_determinant_matches_the_det_oracle(capsys, group, level):
     assert main(["fock", "basis", group, "--level", str(level),
                  "--format", "json"]) == 0

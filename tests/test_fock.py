@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_groups import perm_groups
+from type_walk_oracle import _colored_partitions, split_type
 from wreathfock import catalog, fock, ratlinalg
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import main
@@ -26,9 +27,8 @@ from wreathfock.fock import (FockElement, change_of_basis, delta,
 from wreathfock.groups import ENV_MAX_ORDER, ResourceLimitError, direct_product
 from wreathfock.pullback import n_cycle_classes_closed
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
-                               _colored_partitions, _level, centralizer_order,
-                               classes_by_type, split_type, type_of,
-                               wreath_group)
+                               _level, centralizer_order, classes_by_type,
+                               type_of, wreath_group)
 
 # ---------------------------------------------------------------------------
 # the fusion product

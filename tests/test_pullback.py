@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_groups import SMALL_LEVELS, closure, native_table, perm_groups
+from type_walk_oracle import n_cycle_classes_closed_by_walk
 from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group, hom_from_json
 from wreathfock.classfun import indicator, pullback_along
@@ -22,7 +23,8 @@ from wreathfock.pullback import (_wreath_split, build_pullback,
                                  n_cycle_closed_brute, restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
                                  verify_class_ring_decomposition)
-from wreathfock.wreath import WreathElement, WreathGroup, wreath_group
+from wreathfock.wreath import (WreathElement, WreathGroup, class_count_series,
+                               wreath_group)
 
 
 def _sign(S3, C2):
@@ -188,6 +190,23 @@ def test_wreath_split_is_the_descriptor_split(a, b, n):
                                 d.perm) for k in (0, 1)]
         assert split(d) == amb.index_of((An.index_of(halves[0]),
                                          Bn.index_of(halves[1])))
+
+
+WALK_BASES = ["trivial", "C2", "C3", "S3", "D8", "Dic3"]
+# the walk lists every type of a level: each pair runs it up to the last
+# level of at most this many types
+WALK_TYPES = 3_000
+
+
+@pytest.mark.parametrize("a,b", list(product(WALK_BASES, repeat=2)))
+def test_n_cycle_classes_closed_is_the_type_walk(a, b):
+    A, B = catalog_group(a), catalog_group(b)
+    kA, kB = A.classes.num_classes, B.classes.num_classes
+    series = class_count_series(kA * kB, 40)
+    top = max(n for n, count in enumerate(series) if count <= WALK_TYPES)
+    for n in range(top + 1):
+        assert n_cycle_classes_closed(A, B, n) == \
+            n_cycle_classes_closed_by_walk(kA, kB, n), (a, b, n)
 
 
 def test_n_cycle_classes_closed_matches_brute():

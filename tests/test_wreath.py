@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from test_fock import BASIS_TOPS
 from test_groups import assert_class_map_reads_every_image, perm_groups
+from type_walk_oracle import _colored_partitions
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction
 from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
@@ -18,10 +19,11 @@ from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
 from wreathfock.groups import (ENV_MAX_ORDER, FiniteGroup, Permutation,
                                ResourceLimitError, check_group_axioms,
                                conjugation_orbits)
+from wreathfock.pullback import n_cycle_classes_closed
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
-                               _colored_partitions, _level, _type_count,
-                               centralizer_order, class_count_series,
-                               classes_by_type, cycle_product, embed_product,
+                               _level, _type_count, centralizer_order,
+                               class_count_series, classes_by_type,
+                               cycle_product, embed_product,
                                quotient_to_symmetric, type_of, wreath_group)
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,10 @@ def test_wreath_group_is_cached(C3):
     lambda G: change_of_basis(G, -1),
     lambda G: graded_dimension_series(G, -1),
     lambda G: class_count_series(2, -2),
+    lambda G: n_cycle_classes_closed(G, G, -1),
 ], ids=["WreathGroup", "_level", "wreath_group", "classes_by_type",
-        "change_of_basis", "graded_dimension_series", "class_count_series"])
+        "change_of_basis", "graded_dimension_series", "class_count_series",
+        "n_cycle_classes_closed"])
 def test_negative_levels_are_refused(C2, call):
     with pytest.raises(ValueError, match=r"no level -[12]: the levels are n >= 0"):
         call(C2)
