@@ -8,6 +8,7 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -312,15 +313,18 @@ def cmd_fock_basis(args) -> int:
     # with no type listed: the types holding entry (r, c, m) are, with it
     # taken out, the colored partitions of n - r m with no part (r, c),
     # counted by (1 - q^r) prod_s (1 - q^s)^-k at q^(n - r m), which is
-    # P(n - r m) - P(n - r m - r) for each of the k colors c.  Its digits
-    # come from Decimal, which is exact on an int and not bound by the
-    # interpreter's int-to-string digit limit.
-    from decimal import Decimal
+    # P(n - r m) - P(n - r m - r) for each of the k colors c.  It is
+    # multiplied out in Decimal, whose digits are not bound by the
+    # interpreter's int-to-string limit and print in linear time, under a
+    # context that traps any rounding, so a digit is exact or never printed.
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     k, n = G.classes.num_classes, args.level
     P = dict(enumerate(class_count_series(k, n)))
-    d = str(Decimal(math.prod(
-        math.factorial(m) ** (k * (P[n - r * m] - P.get(n - r * m - r, 0)))
-        for r in range(1, n + 1) for m in range(2, n // r + 1))))
+    d = str(functools.reduce(exact.multiply, (exact.power(
+        Decimal(math.factorial(m)),
+        k * (P[n - r * m] - P.get(n - r * m - r, 0)))
+        for r in range(1, n + 1) for m in range(2, n // r + 1)), Decimal(1)))
     doc = {"group": G.label, "level": n, "dimension": P[n],
            "determinant": f"{d}/1", "invertible": True}
     _emit(args, doc,

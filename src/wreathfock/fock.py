@@ -44,7 +44,10 @@ the types of each level, so it is bounded by the level (``--max-level``),
 never by the element cap: levels come from `wreath._level`, which builds
 class data only.  The Künneth identity is decided from class counts
 (`pullback.n_cycle_classes_closed`), without building G x H or any of its
-wreath levels, and without listing their types.
+wreath levels, and without listing their types.  The graded dimension
+(`graded_dimension_series`) is counted twice from the number of base
+classes alone, by a recursion over the colored partitions memoized on
+their size and by the product formula, so it lists no type either.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .classfun import (ClassFunction, external_product, indicator, induce, one,
 from .groups import FiniteGroup
 from .pullback import n_cycle_classes_closed
 from .ratlinalg import SparseRow
-from .wreath import (TypeMatrix, WreathGroup, _level, _type_count,
+from .wreath import (TypeMatrix, WreathGroup, _level, _type_counts,
                      class_count_series, embed_product, merge_entries)
 
 DEFAULT_MAX_LEVEL = 4
@@ -262,16 +265,15 @@ def kunneth_generator_identity(G: FiniteGroup, H: FiniteGroup, n: int,
 
 
 def graded_dimension_series(G: FiniteGroup, N: int):
-    """Class counts of G wr S_n for n <= N, twice: by counting the colored
-    partitions that `wreath._type_walk` visits, without building a type,
-    and by expanding prod_{r>=1} (1-q^r)^(-k) as a power series.
+    """Class counts of G wr S_n for n <= N, twice, each in polynomial time
+    and with no type listed: by `wreath._type_walk`'s recursion memoized on
+    the budget (`wreath._type_counts`), and by expanding
+    prod_{r>=1} (1-q^r)^(-k) as a power series (`class_count_series`).
 
-    Returns (counts, series); the two must agree.  ValueError for N < 0
-    (`class_count_series`).
+    Returns (counts, series); the two must agree.  ValueError for N < 0.
     """
     k = G.classes.num_classes
-    series = class_count_series(k, N)
-    return [_type_count(k, n) for n in range(N + 1)], series
+    return _type_counts(k, N), class_count_series(k, N)
 
 
 # ---------------------------------------------------------------------------

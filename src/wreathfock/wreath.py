@@ -15,8 +15,10 @@ are laid out.
 
 One recursion over the colored partitions (`_type_walk`) gives a level its
 types and, multiplying the centralizer formula's per-entry factors as it
-descends, their centralizer orders; counting its leaves gives the number of
-types without building one.  Types add by merging their sorted entry
+descends, their centralizer orders.  The same recursion memoized on the
+budget (`_type_counts`) gives the number of types of every level up to N
+in O(k N^2) additions, without listing one; `class_count_series` expands
+the product formula instead.  Types add by merging their sorted entry
 tuples (`merge_entries`), which also gives the integer ratio of centralizer
 orders that the Fock product's fusion rule needs; the Fock product runs it
 on the entry tuples themselves, and a level is indexed by them
@@ -180,13 +182,14 @@ def type_of(G: FiniteGroup, x: WreathElement) -> TypeMatrix:
         tuple(sorted([(r, c, m) for (r, c), m in counts.items()])))
 
 
-def _type_walk(n: int, z, leaf) -> None:
-    """Call leaf(entries, cent) on each type of G wr S_n, for a base G
-    with len(z) classes, in canonical order: the partitions of n colored by
-    base classes, ascending by entry tuple.  entries is the list of the
-    type's (r, c, m) triples, valid during the call only, and cent the
-    product of their factors (r z_c)^m m!: the centralizer order when z
-    holds G's."""
+def _type_walk(n: int, z) -> tuple[list[TypeMatrix], list[int]]:
+    """The types of G wr S_n, n >= 0, for a base G with len(z) classes, in
+    canonical order: the partitions of n colored by base classes, ascending
+    by entry tuple.  Returns (types, cents), cents[i] the product of the
+    factors (r z_c)^m m! over the entries (r, c, m) of types[i]: its
+    centralizer order when z holds G's."""
+    if n == 0:
+        return [TypeMatrix._unchecked(())], [1]     # the empty type
     pairs = [(r, c) for r in range(1, n + 1) for c in range(len(z))]
     # the cycle length of each pair; the last, n + 1, fits no budget
     rs = [r for r, _ in pairs] + [n + 1]
@@ -194,6 +197,8 @@ def _type_walk(n: int, z, leaf) -> None:
     # types use it
     steps = [[((r, c, m), (r * z[c]) ** m * math.factorial(m), r * m)
               for m in range(1, n // r + 1)] for r, c in pairs]
+    types: list[TypeMatrix] = []
+    cents: list[int] = []
 
     def go(i: int, budget: int, acc: list, cent: int):
         # Entry tuples compare by their first differing triple, so every
@@ -207,25 +212,30 @@ def _type_walk(n: int, z, leaf) -> None:
                 break
             acc.append(e)
             if rest == 0:
-                leaf(acc, cent * f)
+                types.append(TypeMatrix._unchecked(tuple(acc)))
+                cents.append(cent * f)
             elif nxt <= rest:
                 go(i + 1, rest, acc, cent * f)
             acc.pop()
         if nxt <= budget:
             go(i + 1, budget, acc, cent)
 
-    if n > 0:
-        go(0, n, [], 1)
-    elif n == 0:
-        leaf([], 1)     # the empty type
+    go(0, n, [], 1)
+    return types, cents
 
 
-def _type_count(k: int, n: int) -> int:
-    """The number of types of G wr S_n for a base with k classes: the
-    leaves of `_type_walk`, counted without building a type."""
-    leaves = itertools.count()
-    _type_walk(n, (1,) * k, lambda acc, cent: next(leaves))
-    return next(leaves)
+def _type_counts(k: int, N: int) -> list[int]:
+    """The number of types of G wr S_n for n <= N, for a base with k
+    classes, by `_type_walk`'s recursion over the pairs (r, c) memoized on
+    the budget: counts[b] is the number of colored partitions of b into the
+    pairs taken so far, and taking pair (r, c) adds those that use it,
+    counts[b - r].  O(k N^2) additions; no type is listed."""
+    _check_class_counts(k, N)
+    counts = [1] + [0] * N
+    for r, _ in itertools.product(range(1, N + 1), range(k)):
+        for b in range(r, N + 1):
+            counts[b] += counts[b - r]
+    return counts
 
 
 def _type_reps(G: FiniteGroup, n: int, types) -> list[WreathElement]:
@@ -345,17 +355,10 @@ class WreathGroup(FiniteGroup):
         self.base = base
         self.n = n
 
-        self.types = types = []
-        cents: list[int] = []
-
-        def leaf(acc, cent):
-            types.append(TypeMatrix._unchecked(tuple(acc)))
-            cents.append(cent)
-
-        _type_walk(n, base.classes.centralizer_orders, leaf)
+        self.types, cents = _type_walk(n, base.classes.centralizer_orders)
         # entry tuple -> class index, for lookups hashed and compared in C
         self._type_index = type_index = {t.entries: i
-                                         for i, t in enumerate(types)}
+                                         for i, t in enumerate(self.types)}
         sizes = [order // cent for cent in cents]
         assert all(size * cent == order for size, cent in zip(sizes, cents))
 
@@ -366,7 +369,7 @@ class WreathGroup(FiniteGroup):
                 raise ValueError(f"{d!r} is not an element of {self.label}") from None
 
         self._classes = ConjugacyClasses(
-            self, sizes, classify, lambda: _type_reps(base, n, types))
+            self, sizes, classify, lambda: _type_reps(base, n, self.types))
 
     def _enumerate(self):
         perms = [Permutation._unchecked(p) for p in self._slot_perms]
@@ -564,10 +567,16 @@ def quotient_to_symmetric(Gn: WreathGroup) -> Homomorphism:
 # counting
 
 
+def _check_class_counts(k: int, N: int) -> None:
+    _check_level(N)
+    if k < 1:
+        raise ValueError(f"num_base_classes must be at least 1, not {k}")
+
+
 def class_count_series(num_base_classes: int, N: int) -> list[int]:
     """Coefficients of prod_{r>=1} (1 - q^r)^(-k) up to q^N, k the number of
     base classes; coefficient n is the class count of G wr S_n."""
-    _check_level(N)
+    _check_class_counts(num_base_classes, N)
     k = num_base_classes
     coeffs = [1] + [0] * N
     for r in range(1, N + 1):
@@ -576,9 +585,7 @@ def class_count_series(num_base_classes: int, N: int) -> list[int]:
         for i, a in enumerate(coeffs):
             if a == 0:
                 continue
-            m = 0
-            while i + r * m <= N:
+            for m in range((N - i) // r + 1):
                 nxt[i + r * m] += a * math.comb(m + k - 1, k - 1)
-                m += 1
         coeffs = nxt
     return coeffs

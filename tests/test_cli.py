@@ -291,6 +291,37 @@ def test_fock_kunneth_and_basis_list_no_type(capsys, monkeypatch):
                  "--format", "json"]) == 0
     assert_basis_is_the_product(json.loads(capsys.readouterr().out),
                                 factorial_weights(6, 10))
+    # the two class-count routes of `fock series` list no type either
+    dic3 = [1, 6, 27, 98, 315, 918, 2492, 6372, 15525, 36280, 81816, 178794,
+            380051, 788004, 1597725]
+    assert main(["fock", "series", "Dic3", "--max", "14",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "group": "Dic3", "max": 14, "counts": dic3, "series": dic3,
+        "agree": True}
+    assert main(["fock", "series", "Dic3", "--max", "14"]) == 0
+    assert capsys.readouterr().out == (
+        f"class counts of Dic3 wr S_n, n <= 14: {','.join(map(str, dic3))} "
+        f"(series: {','.join(map(str, dic3))}; agree: True)\n")
+
+
+def test_fock_basis_digits_are_the_integer_product(capsys):
+    # Dic3 level 8 has a determinant of 9 541 digits, more than the
+    # interpreter converts from an int by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(math.prod(factorial_weights(6, 8)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 9541 > limit
+    argv = ["fock", "basis", "Dic3", "--level", "8", "--max-level", "8"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["determinant"] == want + "/1"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"level 8 over Dic3: 15525 generator monomials, determinant {want}, "
+        f"invertible: True\n")
 
 
 def test_fock_basis_respects_level_cap(capsys):

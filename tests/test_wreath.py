@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from test_fock import BASIS_TOPS
 from test_groups import assert_class_map_reads_every_image, perm_groups
-from type_walk_oracle import _colored_partitions
+from type_walk_oracle import _type_count
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import ClassFunction
 from wreathfock.fock import (FockElement, change_of_basis, delta, fock_product,
@@ -21,7 +21,7 @@ from wreathfock.groups import (ENV_MAX_ORDER, FiniteGroup, Permutation,
                                conjugation_orbits)
 from wreathfock.pullback import n_cycle_classes_closed
 from wreathfock.wreath import (TypeMatrix, WreathElement, WreathGroup,
-                               _level, _type_count, centralizer_order,
+                               _level, _type_counts, centralizer_order,
                                class_count_series, classes_by_type,
                                cycle_product, embed_product,
                                quotient_to_symmetric, type_of, wreath_group)
@@ -508,9 +508,30 @@ def test_series_matches_enumeration(name, k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_type_count_is_the_enumeration_and_the_series(k):
-    counts = [_type_count(k, n) for n in range(11)]
-    assert counts == [len(_colored_partitions(k, n)) for n in range(11)]
+    counts = _type_counts(k, 10)
+    assert counts == [_type_count(k, n) for n in range(11)]
     assert counts == class_count_series(k, 10)
+    assert _type_counts(k, 60) == class_count_series(k, 60)
+
+
+@pytest.mark.parametrize("count", [_type_counts, class_count_series],
+                         ids=["_type_counts", "class_count_series"])
+def test_class_counts_are_the_partition_numbers(count):
+    # p(n), and the partitions of n into 2 and into 3 colors (OEIS A000712,
+    # A000716), from tables neither route made
+    p = count(1, 100)
+    assert (p[50], p[100]) == (204226, 190569292)
+    assert count(2, 10) == [1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481]
+    assert count(3, 10) == [1, 3, 9, 22, 51, 108, 221, 429, 810, 1479, 2640]
+
+
+@pytest.mark.parametrize("count", [_type_counts, class_count_series],
+                         ids=["_type_counts", "class_count_series"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_class_counts_need_a_base_class(count, k):
+    with pytest.raises(ValueError,
+                       match=rf"^num_base_classes must be at least 1, not {k}$"):
+        count(k, 3)
 
 
 def test_classes_sorted_canonically(C2):

@@ -1,9 +1,11 @@
-"""The type walk over (A x B) wr S_n: the oracle for the class-count route.
+"""The type walk as an oracle for the class-count routes.
 
 `wreathfock.pullback.n_cycle_classes_closed` reads its verdicts off class
-counts.  The route here lists every type of the level instead, as a colored
-partition of n, and projects the types over A x B to A and B entry by
-entry; the tests compare the two.
+counts, and `wreathfock.wreath._type_counts` counts the types of a level
+without listing them.  The routes here list every type of the level
+instead, as a colored partition of n: `_type_count` counts them, and
+`n_cycle_classes_closed_by_walk` projects the types over A x B to A and B
+entry by entry; the tests compare each with its class-count route.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from wreathfock.wreath import TypeMatrix, _type_walk
 def _colored_partitions(k: int, n: int) -> list[TypeMatrix]:
     """The types of G wr S_n for a base with k classes, in canonical order
     (`wreath._type_walk`)."""
-    types: list[TypeMatrix] = []
-    _type_walk(n, (1,) * k,
-               lambda acc, cent: types.append(TypeMatrix._unchecked(tuple(acc))))
-    return types
+    return _type_walk(n, (1,) * k)[0]
+
+
+def _type_count(k: int, n: int) -> int:
+    """The number of types of G wr S_n for a base with k classes, by
+    listing every one of them: the oracle for `wreath._type_counts`."""
+    return len(_colored_partitions(k, n))
 
 
 def split_type(t: TypeMatrix, kH: int) -> tuple[TypeMatrix, TypeMatrix]:
