@@ -90,13 +90,9 @@ def _dic3() -> FiniteGroup:
         i = i1 + (-i2 if j1 else i2) + (3 if j1 and j2 else 0)
         return (i % 6, j1 ^ j2)
 
-    def inv(x):
-        i, j = x
-        return ((i + 3) % 6, 1) if j else ((-i) % 6, 0)
-
     elements = [(i, j) for j in (0, 1) for i in range(6)]
     # b, a^3, a^2: orders 4, 2, 3
-    return FiniteGroup("Dic3", elements, mul, inv_desc=inv,
+    return FiniteGroup("Dic3", elements, mul,
                        generators=[(0, 1), (3, 0), (2, 0)])
 
 

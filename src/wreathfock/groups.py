@@ -17,8 +17,10 @@ the group has a Cayley table or its construction gives the column: the
 permutation closure keeps the columns of its generators, a direct product
 reads the factors' columns at i*|H| + j, a subgroup the ambient column,
 and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
-columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).  Those
-constructions derive their inverse arrays the same way.
+columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).
+Inverses follow one rule: direct products, subgroups and wreath levels
+derive their inverse arrays from their parts' as they do their columns;
+every other group reads it off its kept spanning tree (below).
 Every walk is a breadth-first queue, a list that grows while it is read,
 and every orbit split is one `_orbit_partition`: the conjugacy classes and
 the double cosets that `pullback` counts.
@@ -31,7 +33,9 @@ group.  The group keeps one breadth-first spanning tree of the Cayley
 graph of that set (`_spanning_tree`), walked once, on first use, and its
 conjugation steps (`_spanning_steps`), made once: the Cayley table,
 `centralizer`, `hom_from_generator_images` on that set and
-`conjugation_orbits` read them rather than walking again.
+`conjugation_orbits` read them rather than walking again.  A centralizer's
+conjugates, a homomorphism's images and the inverse array are each one
+walk of values along the tree (`_walk`).
 Conjugacy classes take one class-data form (`ConjugacyClasses`): sizes, a
 classifier of descriptors, and representatives and a class array made on
 first use.  Orbit-computed groups hold their array from the start; direct
@@ -39,11 +43,10 @@ products and wreath levels make it only when it is read.
 `mul` stays a single native product until `FiniteGroup.cayley_table()` is
 called (orders <= 4096 only); from then on it is an array lookup.  The one
 production caller of the table is `classfun.induce(strategy="elements")`,
-which builds it for its ambient group before the element sweep; a group
-built with neither an inverse rule nor inverses reads its inverses off
-the table too.  Table-less `mul` is left to that sweep above the table
-limit, to `element_order` and `conj`, and to `check_group_axioms` through
-the native products of direct products, subgroups and wreath levels.
+which builds it for its ambient group before the element sweep.
+Table-less `mul` is left to that sweep above the table limit, to
+`element_order` and `conj`, and to `check_group_axioms` through the native
+products of direct products, subgroups and wreath levels.
 """
 
 from __future__ import annotations
@@ -316,13 +319,15 @@ class FiniteGroup:
     immutable once constructed.
     """
 
-    def __init__(self, label, elements, mul_desc, *, inv_desc=None,
-                 generators=(), order=None, _column_of=None):
+    def __init__(self, label, elements, mul_desc, *, generators=(),
+                 order=None, _column_of=None):
         # _column_of(s), if given, makes the column of s without native
-        # products: direct products and subgroups derive it
+        # products: direct products and subgroups derive it.  Inverses come
+        # from the kept spanning tree (`_compute_inverses`) unless the
+        # construction derives them, as direct products, subgroups and
+        # wreath levels do.
         self.label = label
         self._mul_desc = mul_desc
-        self._inv_desc = inv_desc
         self._elements = None if elements is None else list(elements)
         self._order = order if order is not None else (
             len(self._elements) if self._elements is not None else None)
@@ -428,12 +433,18 @@ class FiniteGroup:
         return self._inverses
 
     def _compute_inverses(self):
-        els = self.elements
-        if self._inv_desc is not None:
-            return array("i", (self.index_of(self._inv_desc(d)) for d in els))
-        # no inverse rule: the identity's place in each Cayley table row
-        t, n = self.cayley_table(), self.order
-        return array("i", (t.index(0, i * n) - i * n for i in range(n)))
+        """The inverse array, read off the kept spanning tree with the
+        generators' columns alone: no descriptor, native product or table.
+
+        Left multiplication by a commutes with right multiplication, so
+        x -> a*x is the tree walked from a along the columns; `left[k]` is
+        the one walked from g_k^-1, the element g_k's column sends to the
+        identity.  As (p * g_k)^-1 = g_k^-1 * p^-1, the inverse array is
+        the tree walked from the identity along `left`."""
+        tree = self._spanning_tree()
+        cols = list(map(self.column, self._spanning_generators()))
+        left = [_walk(tree, col.index(0), cols) for col in cols]
+        return array("i", _walk(tree, 0, left))
 
     def conj(self, s: int, x: int) -> int:
         """s * x * s^-1"""
@@ -563,8 +574,7 @@ def group_from_permutation_generators(degree, generators, label=None):
             col.append(i)
     if label is None:
         label = f"<perm group on {degree} points>"
-    G = FiniteGroup(label, elements, Permutation.__mul__,
-                    inv_desc=Permutation.inverse, generators=gens)
+    G = FiniteGroup(label, elements, Permutation.__mul__, generators=gens)
     # the walk above reached every element from the identity along gens
     G._index = index
     G._spanning = [index[g] for g in gens]
@@ -598,6 +608,17 @@ def _conjugation_steps(G: FiniteGroup, gens) -> list[tuple]:
     inv = G._inverse_array()
     return [_gather(c, _gather(inv, _gather(c, inv)))
             for c in map(G.column, gens)]
+
+
+def _walk(tree, seed, steps) -> list[int]:
+    """The values along a spanning tree of edges (w, parent, k), parents
+    first: out[0] = seed and out[w] = steps[k][out[parent]], each step an
+    index sequence.  Centralizers, homomorphism images and inverses are
+    each such a walk of the kept tree (`FiniteGroup._spanning_tree`)."""
+    out = [seed] * (len(tree) + 1)
+    for w, parent, k in tree:
+        out[w] = steps[k][out[parent]]
+    return out
 
 
 def _orbit_partition(seeds, steps) -> list[list[int]]:
@@ -643,10 +664,7 @@ def centralizer(G: FiniteGroup, x: int) -> list[int]:
     descriptor (`_as_index`); an index outside 0..|G|-1 raises ValueError.
     """
     x = _as_index(G, x)
-    steps = G._spanning_steps
-    conj = [x] * G.order
-    for w, parent, k in G._spanning_tree():
-        conj[w] = steps[k][conj[parent]]
+    conj = _walk(G._spanning_tree(), x, G._spanning_steps)
     return [s for s, y in enumerate(conj) if y == x]
 
 
@@ -675,9 +693,10 @@ def subgroup(G: FiniteGroup, members: Iterable[int], label=None):
                 f"not a subgroup: a product with {idxs[s]} escapes") from None
 
     S = FiniteGroup(label or f"<subgroup of {G.label}, order {len(idxs)}>",
-                    idxs, G.mul, inv_desc=G.inv,
-                    generators=[idxs[g] for g in gens], _column_of=column)
+                    idxs, G.mul, generators=[idxs[g] for g in gens],
+                    _column_of=column)
     S._spanning = gens
+    S._inverses = _gather(S.index, _gather(G._inverse_array(), idxs))
     incl = Homomorphism(S, G, images=idxs, label="inclusion")
     return S, incl
 
@@ -880,10 +899,7 @@ def hom_from_generator_images(dom, gens, cod, images, label=""):
         raise ValueError(
             f"generators do not generate {dom.label} "
             f"(reached {len(tree) + 1} of {dom.order})")
-    fcols = [cod.column(h) for h in himg]
-    img = [0] * dom.order
-    for w, parent, k in tree:
-        img[w] = fcols[k][img[parent]]
+    img = _walk(tree, 0, [cod.column(h) for h in himg])
     if list(_gather(img, gidx)) != himg:
         raise NotAHomomorphismError(
             "not a homomorphism: inconsistent generator images")

@@ -328,17 +328,12 @@ class WreathGroup(FiniteGroup):
     def __init__(self, base: FiniteGroup, n: int):
         _check_level(n)
         order = base.order ** n * math.factorial(n)
-        base_mul, base_inv = base.mul, base.inv
+        base_mul = base.mul
 
         def wmul(x: WreathElement, y: WreathElement) -> WreathElement:
             moved = x.perm.permute(y.parts)
             parts = tuple(base_mul(g, h) for g, h in zip(x.parts, moved))
             return WreathElement(parts, x.perm * y.perm)
-
-        def winv(x: WreathElement) -> WreathElement:
-            pinv = x.perm.inverse()
-            parts = pinv.permute(tuple(base_inv(g) for g in x.parts))
-            return WreathElement(parts, pinv)
 
         ident = Permutation.identity(n)
         gens = [WreathElement((g,) + (0,) * (n - 1), ident)
@@ -349,7 +344,7 @@ class WreathGroup(FiniteGroup):
         if n >= 3:
             gens.append(WreathElement((0,) * n,
                                       Permutation.from_cycles(n, [tuple(range(n))])))
-        super().__init__(f"{base.label} wr S{n}", None, wmul, inv_desc=winv,
+        super().__init__(f"{base.label} wr S{n}", None, wmul,
                          generators=gens, order=order,
                          _column_of=self._derived_column)
         self.base = base
@@ -578,6 +573,8 @@ def class_count_series(num_base_classes: int, N: int) -> list[int]:
     base classes; coefficient n is the class count of G wr S_n."""
     _check_class_counts(num_base_classes, N)
     k = num_base_classes
+    # C(m+k-1, k-1) for every m <= N, made once
+    binom = [math.comb(m + k - 1, k - 1) for m in range(N + 1)]
     coeffs = [1] + [0] * N
     for r in range(1, N + 1):
         # multiply by sum_m C(m+k-1, k-1) q^(r m)
@@ -586,6 +583,6 @@ def class_count_series(num_base_classes: int, N: int) -> list[int]:
             if a == 0:
                 continue
             for m in range((N - i) // r + 1):
-                nxt[i + r * m] += a * math.comb(m + k - 1, k - 1)
+                nxt[i + r * m] += a * binom[m]
         coeffs = nxt
     return coeffs

@@ -96,7 +96,12 @@ def test_dic3_element_orders(Dic3):
 
 @pytest.mark.parametrize("name", ["C2", "C6", "S3", "S4", "D8", "D12", "Dic3"])
 def test_group_axioms_exhaustive(name):
-    assert check_group_axioms(catalog_group(name)) == "exhaustive"
+    G = catalog_group(name)
+    assert check_group_axioms(G) == "exhaustive"
+    if name != "Dic3":      # `with_generators` copies a permutation group
+        # inverses read off the copy's tree, checked by native products
+        for gens in (G.generator_indices, G.generator_indices[:1]):
+            assert check_group_axioms(with_generators(G, gens)) == "exhaustive"
 
 
 def test_class_equation(S3, D12):
@@ -318,7 +323,6 @@ def with_generators(G, gens):
     """G again, uncached, storing the given generator indices (which need
     not generate G)."""
     return FiniteGroup(G.label, G.elements, Permutation.__mul__,
-                       inv_desc=Permutation.inverse,
                        generators=[G.elements[g] for g in gens])
 
 
@@ -799,11 +803,48 @@ def test_hom_from_generator_images_keeps_its_error_types(S3, C2):
 
 @walk_settings
 @given(perm_groups(max_degree=4))
-def test_inverses_without_an_inverse_rule_are_read_off_the_table(G):
+def test_inverses_without_an_inverse_rule_are_read_off_the_tree(G):
     A = FiniteGroup(G.label, G.elements, Permutation.__mul__,
                     generators=[G.elements[g] for g in G.generator_indices])
     assert [A.inv(x) for x in range(A.order)] == \
         [G.index_of(d.inverse()) for d in G.elements]
+    assert A._table is None
+
+
+def native_inverses(A):
+    """The y with x*y the identity, for every x, by native products."""
+    els, mul = A.elements, A._mul_desc
+    return [next(y for y, b in enumerate(els) if mul(a, b) == els[0])
+            for a in els]
+
+
+@walk_settings
+@given(perm_groups(max_degree=5), st.data())
+def test_inverse_array_needs_no_inverse_rule_and_no_product(G, data):
+    # a fresh closure, a copy whose stored generators do not span (the
+    # find_generators fallback), and Dic3, whose columns are native products
+    D12 = catalog_group("D12")
+    stored = with_generators(D12, data.draw(st.sampled_from(
+        [[g] for g in D12.generator_indices] + [[0]])))
+    for A in (G, stored, catalog_group.__wrapped__("Dic3")):
+        oracle = native_inverses(A)
+        A._spanning_tree()              # the columns of the spanning set
+        with mock.patch.object(Permutation, "inverse",
+                               side_effect=AssertionError("inverse rule")), \
+                mock.patch.object(A, "_mul_desc",
+                                  side_effect=AssertionError("native product")):
+            assert list(A._inverse_array()) == oracle
+        assert A._table is None
+    assert len(stored._spanning_generators()) > 1
+
+
+def test_classes_above_the_table_limit_need_no_inverse_rule():
+    S7 = catalog_group.__wrapped__("S7")
+    assert S7.order > groups.TABLE_LIMIT
+    A = FiniteGroup("S7 again", S7.elements, Permutation.__mul__,
+                    generators=list(S7._gen_descs))
+    assert len(A.classes) == 15
+    assert A._table is None
 
 
 perms_upto6 = st.integers(1, 6).flatmap(
