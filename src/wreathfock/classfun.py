@@ -12,11 +12,10 @@ import math
 from array import array
 from collections import Counter
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
 from . import ratlinalg
-from .groups import TABLE_LIMIT, FiniteGroup, Homomorphism, _gather
+from .groups import FiniteGroup, Homomorphism, _gather, conjugates
 
 ZERO = Fraction(0)
 
@@ -182,12 +181,10 @@ def _conjugate_counts(incl: Homomorphism) -> list:
     representative of G.  Swept once per inclusion and kept on it, like
     its `class_map`; a map that is not injective raises on every call.
 
-    Each sweep visits every r in G and counts the H-classes of the |G|
-    conjugates with one `Counter`.  Up to order TABLE_LIMIT the Cayley
-    table is built first, and a sweep is two whole-row gathers: row y of
-    the table is y*r for every r, and the table read at r^-1 * |G| + y*r
-    is r^-1 y r.  Above it a sweep is 2|G| `G.mul`.  The sweep reads no
-    class map of G.
+    Each sweep visits every r in G: the |G| conjugates of y are one walk
+    of G's kept spanning tree (`groups.conjugates`), at any order and with
+    no native product or Cayley table, and one `Counter` counts their
+    H-classes.  The sweep reads no class map of G.
     """
     counts = incl.__dict__.get("_conjugate_counts")
     if counts is not None:
@@ -195,27 +192,13 @@ def _conjugate_counts(incl: Homomorphism) -> list:
     if not incl.is_injective():
         raise ValueError("induction needs an injective homomorphism")
     H, G = incl.dom, incl.cod
-    n = G.order
     # the H-class of every element of G, -1 off the image of incl
-    h_class = array("i", [-1]) * n
+    h_class = array("i", [-1]) * G.order
     for a, j in zip(incl.images, H.classes.class_of):
         h_class[a] = j
-    inv = G._inverse_array()
-    if n <= TABLE_LIMIT:
-        t = G.cayley_table()
-        inv_rows = [i * n for i in inv]     # the offset of row r^-1
-
-        def conjugates(y):
-            return _gather(t, list(map(add, inv_rows, t[y * n:(y + 1) * n])))
-    else:
-        mul = G.mul
-
-        def conjugates(y):
-            return [mul(mul(inv[r], y), r) for r in range(n)]
-
     counts = [[] for _ in range(H.classes.num_classes)]
     for a, y in enumerate(G.classes.reps):
-        hits = Counter(_gather(h_class, conjugates(y)))
+        hits = Counter(_gather(h_class, conjugates(G, y)))
         hits.pop(-1, None)
         for j, c in hits.items():
             counts[j].append((a, c))
@@ -233,8 +216,9 @@ def induce(f: ClassFunction, incl: Homomorphism,
 
     * ``"elements"``: the literal element sum above, the reference oracle.
       For each class representative y of G, one sweep over every r in G
-      counts, as integers, the conjugates r^-1 y r that land in each
-      H-class (`_conjugate_counts`).  The counts depend on the inclusion
+      (a walk of G's kept spanning tree, `groups.conjugates`) counts, as
+      integers, the conjugates r^-1 y r that land in each H-class
+      (`_conjugate_counts`).  The counts depend on the inclusion
       alone, so they are made once per inclusion and kept on it.  Each
       call writes f's nonzero values as integers over one common
       denominator d, sums integer value times count per class of G, and

@@ -12,12 +12,12 @@ and proves the map with it.  Edges are read off the right-multiplication
 column of s (`FiniteGroup.column`), the index sequence x -> x*s, made once
 per element and cached on the group.  `verify` and the conjugation orbits
 handle a whole column at once, gathering index sequences through one
-another (`_gather`) rather than stepping edge by edge.  A column costs |G| native products, or none where
-the group has a Cayley table or its construction gives the column: the
-permutation closure keeps the columns of its generators, a direct product
-reads the factors' columns at i*|H| + j, a subgroup the ambient column,
-and a wreath product G wr S_n (`wreath.WreathGroup`) the base group's
-columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).
+another (`_gather`) rather than stepping edge by edge.  A column costs |G|
+native products, or none where the group's construction gives the column:
+the permutation closure keeps the columns of its generators, a direct
+product reads the factors' columns at i*|H| + j, a subgroup the ambient
+column, and a wreath product G wr S_n (`wreath.WreathGroup`) the base
+group's columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).
 Inverses follow one rule: direct products, subgroups and wreath levels
 derive their inverse arrays from their parts' as they do their columns;
 every other group reads it off its kept spanning tree (below).
@@ -32,21 +32,20 @@ group decides it once, since stored generators need not generate the
 group.  The group keeps one breadth-first spanning tree of the Cayley
 graph of that set (`_spanning_tree`), walked once, on first use, and its
 conjugation steps (`_spanning_steps`), made once: the Cayley table,
-`centralizer`, `hom_from_generator_images` on that set and
-`conjugation_orbits` read them rather than walking again.  A centralizer's
+`conjugates`, `hom_from_generator_images` on that set and
+`conjugation_orbits` read them rather than walking again.  An element's
 conjugates, a homomorphism's images and the inverse array are each one
 walk of values along the tree (`_walk`).
 Conjugacy classes take one class-data form (`ConjugacyClasses`): sizes, a
 classifier of descriptors, and representatives and a class array made on
 first use.  Orbit-computed groups hold their array from the start; direct
 products and wreath levels make it only when it is read.
-`mul` stays a single native product until `FiniteGroup.cayley_table()` is
-called (orders <= 4096 only); from then on it is an array lookup.  The one
-production caller of the table is `classfun.induce(strategy="elements")`,
-which builds it for its ambient group before the element sweep.
-Table-less `mul` is left to that sweep above the table limit, to
-`element_order` and `conj`, and to `check_group_axioms` through the native
-products of direct products, subgroups and wreath levels.
+`mul` is always a single native product.  `FiniteGroup.cayley_table()`
+(orders <= 4096 only) is an output for tests and the benchmark's tracer:
+no library code builds or reads it, and a built table changes no answer of
+`mul` or `column`.  The conjugates w^-1 x w of an element by every w
+(`conjugates`), which `centralizer` and `classfun.induce(strategy=
+"elements")` read, are one walk of the kept tree at any order.
 """
 
 from __future__ import annotations
@@ -418,9 +417,6 @@ class FiniteGroup:
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        t = self._table
-        if t is not None:
-            return t[i * self._order + j]
         els = self.elements
         return self.index_of(self._mul_desc(els[i], els[j]))
 
@@ -461,18 +457,15 @@ class FiniteGroup:
         """The right-multiplication column of s: x -> x*s for every element
         index x, made once and cached.
 
-        Read off the Cayley table once there is one, else made by the
-        construction's column rule (direct products, subgroups), else by
-        |G| native products.  The identity's column needs no product, and
-        a permutation closure caches its generators' columns when built.
+        Made by the construction's column rule (direct products,
+        subgroups), else by |G| native products.  The identity's column
+        needs no product, and a permutation closure caches its generators'
+        columns when built.
         """
         col = self._columns.get(s)
         if col is None:
-            n = self.order
-            if self._table is not None:
-                col = self._table[s::n]
-            elif s == 0:
-                col = range(n)
+            if s == 0:
+                col = range(self.order)
             elif self._column_of is not None:
                 col = self._column_of(s)
             else:
@@ -482,7 +475,9 @@ class FiniteGroup:
         return col
 
     def cayley_table(self):
-        """Flat row-major multiplication table (orders <= 4096 only).
+        """Flat row-major multiplication table (orders <= 4096 only), an
+        output for tests and the benchmark's tracer: no library code builds
+        or reads it, so `mul` and `column` answer the same with or without.
 
         Starts from the columns x*s of the generators s of
         `_spanning_generators` (`column`, at most |G| native products per
@@ -613,7 +608,7 @@ def _conjugation_steps(G: FiniteGroup, gens) -> list[tuple]:
 def _walk(tree, seed, steps) -> list[int]:
     """The values along a spanning tree of edges (w, parent, k), parents
     first: out[0] = seed and out[w] = steps[k][out[parent]], each step an
-    index sequence.  Centralizers, homomorphism images and inverses are
+    index sequence.  Conjugates, homomorphism images and inverses are
     each such a walk of the kept tree (`FiniteGroup._spanning_tree`)."""
     out = [seed] * (len(tree) + 1)
     for w, parent, k in tree:
@@ -653,19 +648,25 @@ def find_generators(G: FiniteGroup) -> list[int]:
     return find_generators_on(G, range(G.order))
 
 
-def centralizer(G: FiniteGroup, x: int) -> list[int]:
-    """All s with s*x == x*s; a subgroup containing the identity.
+def conjugates(G: FiniteGroup, x) -> list[int]:
+    """w^-1 x w for every element index w of G, in index order.
 
     Reads the kept spanning tree (`_spanning_tree`) from the identity,
     carrying conj[w] = w^-1 x w: along an edge w -> w*g, conj[w*g] =
     g^-1 conj[w] g is the kept conjugation step of g (`_spanning_steps`)
-    read at conj[w].  It keeps each s with conj[s] == x, and needs the
-    generators' columns only, no column of x.  x is an element index or a
-    descriptor (`_as_index`); an index outside 0..|G|-1 raises ValueError.
+    read at conj[w].  It needs the generators' columns only: no native
+    product, no column of x and no Cayley table, at any order.  x is an
+    element index or a descriptor (`_as_index`); an index outside
+    0..|G|-1 raises ValueError.
     """
-    x = _as_index(G, x)
-    conj = _walk(G._spanning_tree(), x, G._spanning_steps)
-    return [s for s, y in enumerate(conj) if y == x]
+    return _walk(G._spanning_tree(), _as_index(G, x), G._spanning_steps)
+
+
+def centralizer(G: FiniteGroup, x: int) -> list[int]:
+    """All s with s*x == x*s, the s with s^-1 x s == x among `conjugates`;
+    a subgroup containing the identity.  x is as for `conjugates`."""
+    conj = conjugates(G, x)
+    return [s for s, y in enumerate(conj) if y == conj[0]]     # conj[0] = x
 
 
 def subgroup(G: FiniteGroup, members: Iterable[int], label=None):

@@ -1,22 +1,27 @@
 import contextlib
 import re
+from array import array
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_groups import closure, native_table, perm_groups
-from wreathfock import classfun
+from test_groups import (assert_verify_iff_all_pairs, closure, native_table,
+                         perm_groups)
+from wreathfock import classfun, groups
 from wreathfock.catalog import catalog_group
 from wreathfock.classfun import (ClassFunction, external_product, indicator,
                                  indicator_basis, induce, inner_product, one,
                                  pullback_along, restrict, span_rank, zero)
-from wreathfock.groups import (ConjugacyClasses, Homomorphism, Permutation,
-                               compose_homs, direct_product,
-                               hom_from_generator_images, subgroup)
+from wreathfock.groups import (ConjugacyClasses, FiniteGroup, Homomorphism,
+                               Permutation, _gather, compose_homs,
+                               direct_product, hom_from_generator_images,
+                               subgroup)
 from wreathfock.wreath import embed_product
 
 
@@ -149,18 +154,17 @@ def test_induce_by_elements_without_a_table_equals_fusion(G, data):
     f = ClassFunction(S, data.draw(st.lists(
         fractions, min_size=S.classes.num_classes,
         max_size=S.classes.num_classes)))
-    G._inverse_array()          # made before G.mul is counted
-    sweep = 2 * G.order * G.classes.num_classes
     for incl in maps:
-        with pytest.MonkeyPatch.context() as mp, \
-                mock.patch.object(G, "mul", wraps=G.mul) as mul:
-            mp.setattr(classfun, "TABLE_LIMIT", 0)
+        with mock.patch.object(G, "mul", wraps=G.mul) as mul, \
+                mock.patch.object(classfun, "conjugates",
+                                  wraps=classfun.conjugates) as walks:
             by_elements = induce(f, incl, strategy="elements")
-            # the G.mul branch ran: two products per r in G, per G-class
-            assert mul.call_count == sweep
+            # one tree walk per G-class, and no product
+            assert walks.call_count == G.classes.num_classes
             # and its counts are kept: a second f sweeps nothing
             assert induce(2 * f, incl, strategy="elements") == 2 * by_elements
-            assert mul.call_count == sweep
+            assert walks.call_count == G.classes.num_classes
+        assert mul.call_count == 0
         assert G._table is None
         assert by_elements == induce(f, incl, strategy="fusion")
 
@@ -198,13 +202,14 @@ def fresh_inclusions():
 @pytest.mark.parametrize("case", [0, 1])
 @pytest.mark.parametrize("table_limit", [None, 0])
 def test_induce_by_elements_reads_no_class_map_of_G(case, table_limit):
+    # table_limit 0 refuses every Cayley table: the sweep needs none
     incl = fresh_inclusions()[case]
     H, G = incl.dom, incl.cod
     fs = [ClassFunction(H, [Fraction(j + 1, 2) - k for j in range(
         H.classes.num_classes)]) for k in range(2)]
     with pytest.MonkeyPatch.context() as mp, contextlib.ExitStack() as stack:
         if table_limit is not None:
-            mp.setattr(classfun, "TABLE_LIMIT", table_limit)
+            mp.setattr(groups, "TABLE_LIMIT", table_limit)
         for patch in refusing_class_maps(G):
             stack.enter_context(patch)
         with pytest.raises(AssertionError):
@@ -329,7 +334,7 @@ def test_inner_product_bilinear(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# the element route on whole table rows and integers
+# the element route on integers, and its retired sweeps as oracles
 
 
 def same_inclusion(incl):
@@ -337,29 +342,56 @@ def same_inclusion(incl):
     return Homomorphism(incl.dom, incl.cod, incl.images)
 
 
-def counts_by_both_sweeps(maps):
+def table_conjugates(G):
+    """y -> r^-1 y r for every r in G by two whole-row gathers of the
+    Cayley table: row y is y*r for every r, and the table read at
+    r^-1 * |G| + y*r is r^-1 y r."""
+    t, n = G.cayley_table(), G.order
+    inv_rows = [i * n for i in G._inverse_array()]     # the offset of row r^-1
+    return lambda y: _gather(t, list(map(add, inv_rows, t[y * n:(y + 1) * n])))
+
+
+def mul_conjugates(G):
+    """y -> r^-1 y r for every r in G by 2|G| `G.mul`."""
+    mul, inv = G.mul, G._inverse_array()
+    return lambda y: [mul(mul(inv[r], y), r) for r in range(G.order)]
+
+
+def sweep_counts(incl, conjugates_of):
+    """`classfun._conjugate_counts` of incl with the conjugates of each
+    class representative of G given by conjugates_of."""
+    H, G = incl.dom, incl.cod
+    h_class = [-1] * G.order
+    for a, j in zip(incl.images, H.classes.class_of):
+        h_class[a] = j
+    counts = [[] for _ in range(H.classes.num_classes)]
+    for a, y in enumerate(G.classes.reps):
+        hits = Counter(_gather(h_class, conjugates_of(y)))
+        hits.pop(-1, None)
+        for j, c in hits.items():
+            counts[j].append((a, c))
+    return counts
+
+
+def counts_by_every_sweep(maps):
     """The conjugate counts of each inclusion in maps, all into one G, by
-    the `G.mul` sweep (TABLE_LIMIT = 0) and then by the table sweep, each
-    on a fresh copy of the inclusion, so neither reads the other's kept
-    counts.  The `G.mul` sweeps run first, on native products, as G has
-    no table until the table sweep builds it."""
+    the tree sweep of `classfun._conjugate_counts` (on a fresh copy of the
+    inclusion, so no kept counts are read), which builds no Cayley table,
+    and then by the two retired sweeps: `G.mul`, and the table rows."""
     G = maps[0].cod
+    by_tree = [classfun._conjugate_counts(same_inclusion(m)) for m in maps]
     assert G._table is None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classfun, "TABLE_LIMIT", 0)
-        by_mul = [classfun._conjugate_counts(same_inclusion(m)) for m in maps]
-    assert G._table is None
-    by_table = [classfun._conjugate_counts(same_inclusion(m)) for m in maps]
-    assert G._table is not None
-    return by_mul, by_table
+    by_mul = [sweep_counts(m, mul_conjugates(G)) for m in maps]
+    by_table = [sweep_counts(m, table_conjugates(G)) for m in maps]
+    return by_tree, by_mul, by_table
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(perm_groups(), st.data())
 def test_table_sweep_counts_equal_the_mul_sweep_on_random_subgroups(G, data):
     S, maps = random_injections(G, data)
-    by_mul, by_table = counts_by_both_sweeps(maps)
-    assert by_table == by_mul
+    by_tree, by_mul, by_table = counts_by_every_sweep(maps)
+    assert by_tree == by_table == by_mul
 
 
 # the (base, level) slots of the change of basis by elements in the
@@ -374,9 +406,9 @@ def test_table_sweep_counts_equal_the_mul_sweep_on_block_embeddings(base, n):
     change of basis of level n induces along, on a fresh base group."""
     G = catalog_group.__wrapped__(base)
     for m in range(1, n + 1):
-        by_mul, by_table = counts_by_both_sweeps(
+        by_tree, by_mul, by_table = counts_by_every_sweep(
             [embed_product(G, a, m - a) for a in range(m)])
-        assert by_table == by_mul
+        assert by_tree == by_table == by_mul
 
 
 def induce_by_fraction_sums(f, incl):
@@ -421,14 +453,61 @@ def test_induce_by_elements_on_integers_over_mixed_denominators(S3, s2_in_s3):
 
 @pytest.mark.parametrize("case", [0, 1])
 def test_table_sweep_makes_no_product_once_the_table_exists(case):
+    # and the tree sweep makes none with or without it
     incl = fresh_inclusions()[case]
     H, G = incl.dom, incl.cod
     G.cayley_table()
     f = ClassFunction(H, [Fraction(j, 3) - 1 for j in range(
         H.classes.num_classes)])
-    with mock.patch.object(G, "mul", side_effect=AssertionError("G.mul")):
+    with mock.patch.object(G, "mul", side_effect=AssertionError("G.mul")), \
+            mock.patch.object(G, "_mul_desc",
+                              side_effect=AssertionError("native product")):
+        by_table = sweep_counts(incl, table_conjugates(G))
         by_elements = induce(f, incl, strategy="elements")
+    assert by_table == classfun._conjugate_counts(incl)
     assert by_elements == induce(f, incl, strategy="fusion")
+
+
+def test_induce_by_elements_above_the_table_limit():
+    """S6 < S7, of order 5040 > TABLE_LIMIT: one tree walk per class of
+    S7, with no product of S7 and no Cayley table."""
+    G = catalog_group.__wrapped__("S7")
+    assert G.order > groups.TABLE_LIMIT
+    H, incl = subgroup(G, [i for i, p in enumerate(G.elements) if p(6) == 6])
+    f = ClassFunction(H, [Fraction(j, 5) - 1 for j in range(
+        H.classes.num_classes)])
+    by_fusion = induce(f, incl, strategy="fusion")
+    with mock.patch.object(G, "mul", side_effect=AssertionError("G.mul")), \
+            mock.patch.object(G, "_mul_desc",
+                              side_effect=AssertionError("native product")), \
+            mock.patch.object(FiniteGroup, "cayley_table",
+                              side_effect=AssertionError("Cayley table")):
+        assert induce(f, incl, strategy="elements") == by_fusion
+
+
+def test_a_built_cayley_table_changes_no_answer():
+    """With G's table built and then overwritten with wrong entries,
+    `verify`, induction by elements, `column` and `mul` answer natively:
+    no library code reads the table."""
+    incl = fresh_inclusions()[0]
+    H, G = incl.dom, incl.cod
+    n, table = G.order, native_table(G)
+    g, g_inv = 5, G.inv(5)
+    inner = Homomorphism(G, G, [table[table[g_inv][x]][g] for x in range(n)])
+    swapped = Homomorphism(G, G, [0, 2, 1, *range(3, n)])
+    G.cayley_table()
+    G._table = array("i", [(x + 1) % n for x in G._table])  # every entry wrong
+    for f in (inner, swapped):
+        assert_verify_iff_all_pairs(f, table, table)
+    f = ClassFunction(H, [Fraction(j, 3) - 1 for j in range(
+        H.classes.num_classes)])
+    assert induce(f, incl, strategy="elements") == \
+        induce(f, incl, strategy="fusion")
+    uncached = [s for s in range(n) if s not in G._columns]
+    assert uncached
+    assert [list(G.column(s)) for s in uncached] == \
+        [[row[s] for row in table] for s in uncached]
+    assert [[G.mul(a, b) for b in range(n)] for a in range(n)] == table
 
 
 # ---------------------------------------------------------------------------

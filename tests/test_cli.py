@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from wreathfock import catalog, cli, groups, pullback, ratlinalg, wreath
+from wreathfock import (catalog, classfun, cli, fock, groups, pullback,
+                        ratlinalg, wreath)
 from wreathfock.catalog import catalog_group
 from wreathfock.cli import _write_json, main
 from wreathfock.fock import change_of_basis
@@ -156,6 +157,55 @@ def test_closed_pullback_commands_build_no_carrier(monkeypatch, capsys,
     if source[0] == "--G":
         assert docs["build"]["order"] == docs["verify-iso"]["order"] == 518400
         assert docs["build"]["num_classes"] == 121
+
+
+# the commands of the README's "Command line" section, with its group file
+README_COMMANDS = [
+    ["group", "info", "S3"],
+    ["group", "classes", "--file", "mygroup.json"],
+    ["wreath", "classes", "C2", "3"],
+    ["wreath", "centralizer", "C4", "5", "--type", "[[2,2,1],[3,3,1]]"],
+    ["pullback", "build", "--K", "trivial", "--G", "C2", "--H", "C3"],
+    ["pullback", "check-closed", "--scenario", str(SCENARIOS / "s3xs3.json")],
+    ["pullback", "verify-iso", "--scenario",
+     str(SCENARIOS / "d12_dic3.json")],
+    ["fock", "basis", "S3", "--level", "3"],
+    ["fock", "product", "C2", "--monomial", "[[1,0,1],[1,1,1]]"],
+    ["fock", "kunneth", "C2", "C3", "--max-level", "3"],
+    ["fock", "series", "C2", "--max", "5"],
+    ["golden"],
+]
+
+
+def test_no_library_route_builds_a_cayley_table(monkeypatch, capsys,
+                                                 tmp_path):
+    """The Cayley table is an output for tests and the benchmark's tracer:
+    with it refused, the README commands and every element route answer,
+    the element routes on fresh groups, whose inclusions keep no counts."""
+    def refuse(group):
+        raise AssertionError(f"built the Cayley table of {group.label}")
+
+    monkeypatch.setattr(groups.FiniteGroup, "cayley_table", refuse)
+    (tmp_path / "mygroup.json").write_text(json.dumps(
+        {"name": "D12", "degree": 6,
+         "generators": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    for argv in README_COMMANDS:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    C2, C3, S3 = map(catalog_group.__wrapped__, ("C2", "C3", "S3"))
+    H, incl = groups.subgroup(S3, [0, 1])
+    f = classfun.indicator(H, 1)
+    assert classfun.induce(f, incl, strategy="elements") == \
+        classfun.induce(f, incl, strategy="fusion")
+    g, h = fock.delta(C2, 1, 1), fock.delta(C2, 2, 0)
+    assert fock.fock_product(g, h, strategy="elements") == \
+        fock.fock_product(g, h, strategy="fusion")
+    assert change_of_basis(C3, 2, strategy="elements") == \
+        change_of_basis(C3, 2, strategy="fusion")
+    pullback.semidirect_product_iso(C2, C3, 2)
+    assert pullback.n_cycle_closed_brute(C2, C3, 2) == \
+        pullback.n_cycle_classes_closed(C2, C3, 2)
 
 
 def test_pullback_that_is_not_closed_builds_the_carrier_for_its_witness(
