@@ -197,6 +197,11 @@ def hom_from_json(doc: dict, dom: FiniteGroup | None = None,
                   cod: FiniteGroup | None = None) -> Homomorphism:
     """Homomorphism from generator images on the domain's stored generators.
 
+    `dom` and `cod`, when given, are the groups the map is applied to, and
+    the document's `from` and `to`, when present, must name groups of the
+    same labels: a mismatch raises ValueError naming the key.  Without
+    `dom` or `cod` the document's key is the group.
+
     Built by `hom_from_generator_images`: images are assigned along the
     spanning tree of those generators, each generator is checked to map to
     its given image, and `Homomorphism.verify` proves the map on every edge.
@@ -204,6 +209,12 @@ def hom_from_json(doc: dict, dom: FiniteGroup | None = None,
     if not isinstance(doc, dict):
         raise ValueError("a homomorphism is a JSON object with "
                          f"generator_images, got {json.dumps(doc)[:60]}")
+    for key, group in (("from", dom), ("to", cod)):
+        if group is not None and key in doc:
+            named = resolve_group(doc[key]).label
+            if named != group.label:
+                raise ValueError(f"{key!r} names {named}, but the map is "
+                                 f"applied to {group.label}")
     dom = dom if dom is not None else resolve_group(doc["from"])
     cod = cod if cod is not None else resolve_group(doc["to"])
     entries = doc.get("generator_images")

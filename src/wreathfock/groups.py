@@ -3,6 +3,9 @@
 Elements are addressed by stable integer indices; the descriptor type
 (permutation, index pair, wreath tuple, ...) is only touched by the native
 multiplication of each construction.  Index 0 is always the identity.
+Functions that take an element (`conjugates`, `centralizer`,
+`hom_from_generator_images`) take its index and refuse anything else, a
+descriptor included: a subgroup's descriptors are ambient indices.
 
 Bulk operations walk the Cayley graph of a generating set instead of
 multiplying all pairs: `Homomorphism.verify` and `subgroup` check every
@@ -46,6 +49,8 @@ no library code builds or reads it, and a built table changes no answer of
 `mul` or `column`.  The conjugates w^-1 x w of an element by every w
 (`conjugates`), which `centralizer` and `classfun.induce(strategy=
 "elements")` read, are one walk of the kept tree at any order.
+`check_group_axioms` checks every triple by native products, so it refuses
+a group above AXIOM_LIMIT rather than check less.
 """
 
 from __future__ import annotations
@@ -53,13 +58,13 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-import random
 from array import array
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 200_000
 TABLE_LIMIT = 4096
+AXIOM_LIMIT = 300
 ENV_MAX_ORDER = "WREATHFOCK_MAX_ORDER"
 
 # The element cap of the running CLI command, set and reset by `cli.main`;
@@ -68,7 +73,8 @@ MAX_ORDER = contextvars.ContextVar("max_order", default=None)
 
 
 class ResourceLimitError(RuntimeError):
-    """A construction would exceed the configured element cap."""
+    """A construction would exceed the configured element cap, or a table
+    or an axiom check its fixed limit (TABLE_LIMIT, AXIOM_LIMIT)."""
 
 
 class NotAHomomorphismError(ValueError):
@@ -197,8 +203,9 @@ class Permutation:
             out[j] = seq[i]
         return tuple(out)
 
-    def cycles(self, include_fixed: bool = True) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its least point, sorted by it."""
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Disjoint cycles, fixed points included, each starting at its
+        least point, sorted by it."""
         seen = [False] * len(self.images)
         out = []
         for start in range(len(self.images)):
@@ -211,8 +218,7 @@ class Permutation:
                 cyc.append(j)
                 seen[j] = True
                 j = self.images[j]
-            if include_fixed or len(cyc) > 1:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return tuple(out)
 
     def sign(self) -> int:
@@ -259,9 +265,6 @@ class ConjugacyClasses:
         self._make_rep_descs = make_rep_descs
         self._make_class_of = make_class_of
         self._rep_descs = self._class_of = None
-
-    def __len__(self) -> int:
-        return len(self.sizes)
 
     @property
     def num_classes(self) -> int:
@@ -313,9 +316,9 @@ class ConjugacyClasses:
 class FiniteGroup:
     """A finite group: enumerated hashable descriptors plus a native product.
 
-    `elements` may be built lazily by subclasses; all index-level operations
-    (`mul`, `inv`, `index_of`) force enumeration.  Instances are treated as
-    immutable once constructed.
+    `elements` may be built lazily by subclasses, which then pass `order`;
+    all index-level operations (`mul`, `inv`, `index_of`) force
+    enumeration.  Instances are treated as immutable once constructed.
     """
 
     def __init__(self, label, elements, mul_desc, *, generators=(),
@@ -328,8 +331,7 @@ class FiniteGroup:
         self.label = label
         self._mul_desc = mul_desc
         self._elements = None if elements is None else list(elements)
-        self._order = order if order is not None else (
-            len(self._elements) if self._elements is not None else None)
+        self.order = order if order is not None else len(self._elements)
         self._gen_descs = tuple(generators)
         self._spanning = self._tree = None
         self._classes = None
@@ -352,15 +354,6 @@ class FiniteGroup:
         return self._elements
 
     @property
-    def order(self) -> int:
-        if self._order is None:
-            self._order = len(self.elements)
-        return self._order
-
-    def __len__(self) -> int:
-        return self.order
-
-    @property
     def index(self) -> dict:
         if self._index is None:
             self._index = {d: i for i, d in enumerate(self.elements)}
@@ -371,10 +364,6 @@ class FiniteGroup:
             return self.index[desc]
         except KeyError:
             raise ValueError(f"{desc!r} is not an element of {self.label}") from None
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
@@ -648,7 +637,7 @@ def find_generators(G: FiniteGroup) -> list[int]:
     return find_generators_on(G, range(G.order))
 
 
-def conjugates(G: FiniteGroup, x) -> list[int]:
+def conjugates(G: FiniteGroup, x: int) -> list[int]:
     """w^-1 x w for every element index w of G, in index order.
 
     Reads the kept spanning tree (`_spanning_tree`) from the identity,
@@ -656,15 +645,16 @@ def conjugates(G: FiniteGroup, x) -> list[int]:
     g^-1 conj[w] g is the kept conjugation step of g (`_spanning_steps`)
     read at conj[w].  It needs the generators' columns only: no native
     product, no column of x and no Cayley table, at any order.  x is an
-    element index or a descriptor (`_as_index`); an index outside
-    0..|G|-1 raises ValueError.
+    element index (`_as_index`): anything else, or an index outside
+    0..|G|-1, raises ValueError.
     """
     return _walk(G._spanning_tree(), _as_index(G, x), G._spanning_steps)
 
 
 def centralizer(G: FiniteGroup, x: int) -> list[int]:
     """All s with s*x == x*s, the s with s^-1 x s == x among `conjugates`;
-    a subgroup containing the identity.  x is as for `conjugates`."""
+    a subgroup containing the identity.  x is an element index, as for
+    `conjugates`."""
     conj = conjugates(G, x)
     return [s for s, y in enumerate(conj) if y == conj[0]]     # conj[0] = x
 
@@ -887,8 +877,8 @@ def hom_from_generator_images(dom, gens, cod, images, label=""):
     each generator to its image and proved multiplicative by
     `Homomorphism.verify`, the one edge check.  Raises
     NotAHomomorphismError if the images are inconsistent, ValueError if the
-    counts differ or the generators do not generate dom.  Generators and
-    images may be element indices or descriptors.
+    counts differ, the generators do not generate dom, or a generator or
+    image is not an element index of its group (`_as_index`).
     """
     gidx = [_as_index(dom, g) for g in gens]
     himg = [_as_index(cod, h) for h in images]
@@ -910,54 +900,49 @@ def hom_from_generator_images(dom, gens, cod, images, label=""):
 
 
 def _as_index(G: FiniteGroup, x) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
-        if not 0 <= x < G.order:
-            raise ValueError(f"index {x} out of range for {G.label}")
-        return x
-    return G.index_of(x)
+    """x itself when it is an element index of G: an int, not a bool, in
+    0..|G|-1; anything else raises ValueError.  Descriptors are refused
+    rather than looked up: a subgroup's descriptors are ambient indices,
+    which would read as indices of the subgroup."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"not an element index of {G.label}: {x!r}")
+    if not 0 <= x < G.order:
+        raise ValueError(f"index {x} out of range for {G.label}")
+    return x
 
 
 # ---------------------------------------------------------------------------
-# axiom checking (test-time toggle)
+# axiom checking
 
 
-def check_group_axioms(G: FiniteGroup, *, exhaustive_limit: int = 300,
-                       samples: int = 20_000, seed: int = 0) -> str:
-    """Identity, inverses, and associativity.
+def check_group_axioms(G: FiniteGroup) -> str:
+    """Identity, inverses and associativity, on every element, pair and
+    triple of G.  Returns "exhaustive"; raises ValueError naming the first
+    failure.
 
-    Identity and inverses are always exhaustive.  Associativity is cubic, so
-    it is exhaustive only up to `exhaustive_limit` and seeded-random sampled
-    above that.  Returns "exhaustive" or "sampled"; raises on any failure.
-
-    Every product is a native one, never read from `cayley_table()`: that
-    table is derived by assuming associativity, so it cannot test it.
+    The check is cubic in |G|, so a group above AXIOM_LIMIT raises
+    ResourceLimitError before any product.  Every product is a native one,
+    never read from `cayley_table()`: that table is derived by assuming
+    associativity, so it cannot test it.
     """
     n = G.order
+    if n > AXIOM_LIMIT:
+        raise ResourceLimitError(
+            f"no axiom check above order {AXIOM_LIMIT} (|{G.label}| = {n})")
     els, index, mul_desc = G.elements, G.index, G._mul_desc
-
-    def mul(i, j):
-        return index[mul_desc(els[i], els[j])]
-
-    for i in range(n):
-        if mul(0, i) != i or mul(i, 0) != i:
+    t = array("i", (index[mul_desc(a, b)] for a in els for b in els))
+    rng = range(n)
+    for i in rng:
+        if t[i] != i or t[i * n] != i:
             raise ValueError(f"identity fails at {i}")
-        if mul(i, G.inv(i)) != 0 or mul(G.inv(i), i) != 0:
+        if t[i * n + G.inv(i)] != 0 or t[G.inv(i) * n + i] != 0:
             raise ValueError(f"inverse fails at {i}")
-    if n <= exhaustive_limit:
-        t = array("i", (index[mul_desc(a, b)] for a in els for b in els))
-        rng = range(n)
-        for i in rng:
-            row_i = i * n
-            for j in rng:
-                ij = t[row_i + j] * n
-                jn = j * n
-                for k in rng:
-                    if t[ij + k] != t[row_i + t[jn + k]]:
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
-        return "exhaustive"
-    rng = random.Random(seed)
-    for _ in range(samples):
-        i, j, k = (rng.randrange(n) for _ in range(3))
-        if mul(mul(i, j), k) != mul(i, mul(j, k)):
-            raise ValueError(f"associativity fails at ({i},{j},{k})")
-    return "sampled"
+    for i in rng:
+        row_i = i * n
+        for j in rng:
+            ij = t[row_i + j] * n
+            jn = j * n
+            for k in rng:
+                if t[ij + k] != t[row_i + t[jn + k]]:
+                    raise ValueError(f"associativity fails at ({i},{j},{k})")
+    return "exhaustive"

@@ -96,3 +96,21 @@ def test_hom_from_json_index_images(S3, C2):
 def test_hom_from_json_count_mismatch(S3, C2):
     with pytest.raises(ValueError, match="stored generators"):
         hom_from_json({"generator_images": [1]}, dom=S3, cod=C2)
+
+
+@pytest.mark.parametrize("named, shown", [
+    ({"from": "S4", "to": "C2"}, "'from' names S4, but the map is applied to S3"),
+    ({"from": "S3", "to": "C3"}, "'to' names C3, but the map is applied to C2"),
+], ids=["from", "to"])
+def test_hom_from_json_refuses_a_named_group_it_is_not_applied_to(
+        S3, C2, named, shown):
+    with pytest.raises(ValueError, match=f"^{shown}$"):
+        hom_from_json({**named, "generator_images": [1, 0]}, dom=S3, cod=C2)
+
+
+def test_hom_from_json_loads_the_groups_it_names_when_applied_to_them(S3, C2):
+    # the README example
+    f = hom_from_json({"from": "S3", "to": "C2",
+                       "generator_images": [[1, 0], [0, 1]]}, dom=S3, cod=C2)
+    assert f.dom is S3 and f.cod is C2
+    assert f.is_surjective()

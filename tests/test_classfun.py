@@ -252,6 +252,25 @@ def test_induce_by_elements_rejects_a_map_that_is_not_injective(S3, C2):
             induce(indicator(S3, 0), sgn, strategy="elements")
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda S3, C2, sgn, incl: one(S3) + one(C2),
+     "class functions live on different groups"),
+    (lambda S3, C2, sgn, incl: pullback_along(one(S3), sgn),
+     "function lives on a different group than h lands in"),
+    (lambda S3, C2, sgn, incl: induce(one(S3), incl),
+     "function lives on a different group than incl's domain"),
+    (lambda S3, C2, sgn, incl: induce(one(incl.dom), incl, strategy="magic"),
+     "unknown induction strategy: magic"),
+], ids=["sum-across-groups", "pullback-from-another-codomain",
+        "induce-off-the-domain", "induce-by-an-unknown-strategy"])
+def test_class_functions_refuse_another_group_by_name(S3, C2, c3_in_s3, call,
+                                                      shown):
+    sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$") as err:
+        call(S3, C2, sgn, c3_in_s3[1])
+    assert type(err.value) is ValueError
+
+
 @pytest.mark.parametrize("strategy", ["fusion", "elements"])
 def test_induce_rejects_a_map_that_is_not_injective(S3, C2, strategy):
     sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])

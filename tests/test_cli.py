@@ -759,6 +759,32 @@ def test_a_falsy_scenario_map_is_not_an_implied_map(tmp_path, capsys, key,
                    f"{json.dumps(value)}\n")
 
 
+@pytest.mark.parametrize("route", ["files", "scenario"])
+@pytest.mark.parametrize("named", ["S4", "D8"])
+def test_a_map_naming_another_group_is_an_input_error(tmp_path, capsys,
+                                                      named, route):
+    hom = {"from": named, "to": "C2", "generator_images": [[1, 0], [1, 0]]}
+    path = tmp_path / "map.json"
+    if route == "files":
+        path.write_text(json.dumps(hom))
+        source = ["--G", "D8", "--H", "D8", "--K", "C2",
+                  "--alpha", str(path), "--beta", str(path)]
+        where = ""
+    else:
+        path.write_text(json.dumps({"G": "D8", "H": "D8", "K": "C2",
+                                    "alpha": hom, "beta": hom}))
+        source = ["--scenario", str(path)]
+        where = f"scenario {path}: key 'alpha': "
+    code = main(["pullback", "verify-iso", *source, "--format", "json"])
+    out, err = capsys.readouterr()
+    if named == "D8":
+        assert code == 0 and json.loads(out)["order"] == 32
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"error: {where}'from' names S4, but the map is "
+                       f"applied to D8\n")
+
+
 @pytest.mark.parametrize("key", ["alpha", "beta"])
 def test_a_null_scenario_map_is_implied(tmp_path, capsys, key):
     path = tmp_path / "scenario.json"

@@ -86,6 +86,20 @@ def test_unknown_strategy_rejected(C2):
         fock_product(f, f, strategy="magic")
 
 
+@pytest.mark.parametrize("bases, levels, shown", [
+    (("S3", "S3"), (None, 1), "expected a class function on a wreath product"),
+    (("S3", "S3"), (1, None), "expected a class function on a wreath product"),
+    (("C2", "C3"), (1, 1), "factors live over different base groups"),
+], ids=["first-off-a-level", "second-off-a-level", "two-bases"])
+def test_fock_product_refuses_factors_off_one_base_by_name(bases, levels,
+                                                           shown):
+    f, g = (one(catalog_group(b) if n is None else _level(catalog_group(b), n))
+            for b, n in zip(bases, levels))
+    with pytest.raises(ValueError, match=f"^{shown}$") as err:
+        fock_product(f, g)
+    assert type(err.value) is ValueError
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_change_of_basis_rejects_an_unknown_strategy_up_front(n):
     G = catalog_group.__wrapped__("C2")     # fresh: no level built yet

@@ -24,7 +24,7 @@ def test_permutation_compose_and_invert():
     q = Permutation.from_cycles(4, [(2, 3)])
     # (p*q)(i) = p(q(i))
     assert (p * q)(2) == p(3)
-    assert (p * p.inverse()).is_identity
+    assert (p * p.inverse()).is_identity()
     assert p ** 3 == Permutation.identity(4)
     assert p ** -1 == p.inverse()
 
@@ -34,7 +34,7 @@ def test_permutation_cycles_and_sign():
     assert p.cycles() == ((0, 1), (2, 3, 4))
     assert p.sign() == -1  # transposition odd, 3-cycle even
     assert Permutation.from_cycles(3, [(0, 1)]).sign() == -1
-    assert Permutation.identity(3).cycles(include_fixed=True) == ((0,), (1,), (2,))
+    assert Permutation.identity(3).cycles() == ((0,), (1,), (2,))
 
 
 def test_permute_moves_position_i_to_pi():
@@ -102,6 +102,49 @@ def test_group_axioms_exhaustive(name):
         # inverses read off the copy's tree, checked by native products
         for gens in (G.generator_indices, G.generator_indices[:1]):
             assert check_group_axioms(with_generators(G, gens)) == "exhaustive"
+
+
+def broken_s3(S3, a, b, c):
+    """S3's elements under S3's product, but with the one product a*b of
+    indices made c.  For c != a*b it is no group, as no row of a group's
+    table repeats an entry."""
+    els = S3.elements
+
+    def mul(x, y):
+        return els[c] if (x, y) == (els[a], els[b]) else x * y
+
+    return FiniteGroup("broken S3", els, mul)
+
+
+@pytest.mark.parametrize("axiom", ["identity", "inverse", "associativity"])
+def test_check_group_axioms_names_the_broken_axiom(S3, axiom):
+    flip = min(x for x in range(1, S3.order) if S3.inv(x) == x)
+    turn = min(x for x in range(1, S3.order) if S3.inv(x) != x)
+    a, b, c, shown = {
+        "identity": (0, flip, turn, f"identity fails at {flip}"),
+        # turn < turn^-1, so the pair (turn, turn^-1) is checked first
+        "inverse": (turn, S3.inv(turn), turn, f"inverse fails at {turn}"),
+        "associativity": (flip, turn, 0,
+                          r"associativity fails at \(\d+,\d+,\d+\)"),
+    }[axiom]
+    A = broken_s3(S3, a, b, c)
+    # S3's inverses: the ones A would read off its tree follow the broken
+    # product
+    with mock.patch.object(A, "inv", S3.inv), \
+            pytest.raises(ValueError, match=f"^{shown}$") as err:
+        check_group_axioms(A)
+    assert type(err.value) is ValueError
+
+
+def test_check_group_axioms_refuses_above_its_limit():
+    S6 = catalog_group("S6")
+    assert S6.order > groups.AXIOM_LIMIT
+    with mock.patch.object(S6, "_mul_desc",
+                           side_effect=AssertionError("native product")), \
+            pytest.raises(ResourceLimitError,
+                          match=rf"^no axiom check above order "
+                                rf"{groups.AXIOM_LIMIT} \(\|S6\| = 720\)$"):
+        check_group_axioms(S6)
 
 
 def test_class_equation(S3, D12):
@@ -716,6 +759,37 @@ def test_centralizer_refuses_an_index_outside_the_group(S3, x):
         centralizer(S3, x)
 
 
+def s3_descriptors():
+    S3 = catalog_group("S3")
+    return [S3.elements[g] for g in S3.generator_indices]
+
+
+@pytest.mark.parametrize("call, error, shown", [
+    (lambda: catalog_group("S7").cayley_table(), ResourceLimitError,
+     r"no Cayley table above order 4096 \(\|S7\| = 5040\)"),
+    (lambda: Permutation.identity(2) * Permutation.identity(3), ValueError,
+     "degrees differ: 2 and 3"),
+    (lambda: group_from_permutation_generators(3, [[1, 0]]), ValueError,
+     "generator degree 2 != 3"),
+    (lambda: groups.conjugates(catalog_group("S3"), s3_descriptors()[0]),
+     ValueError, r"not an element index of S3: \(0 1\)"),
+    (lambda: groups.conjugates(catalog_group("S3"), True), ValueError,
+     "not an element index of S3: True"),
+    (lambda: centralizer(catalog_group("S3"), 1.0), ValueError,
+     r"not an element index of S3: 1\.0"),
+    (lambda: hom_from_generator_images(catalog_group("S3"), s3_descriptors(),
+                                       catalog_group("C2"), [1, 0]),
+     ValueError, r"not an element index of S3: \(0 1\)"),
+], ids=["table-above-limit", "product-across-degrees",
+        "generator-of-another-degree", "conjugates-of-a-descriptor",
+        "conjugates-of-a-bool", "centralizer-of-a-float",
+        "hom-from-descriptors"])
+def test_groups_refuses_bad_input_by_name(call, error, shown):
+    with pytest.raises(error, match=f"^{shown}$") as err:
+        call()
+    assert type(err.value) is error
+
+
 @pytest.mark.parametrize("members,bad", [([0, 7], 7), ([0, -1], -1),
                                          ([-2, 0, 1, 6], -2)])
 def test_subgroup_refuses_an_index_outside_the_group(S3, members, bad):
@@ -843,7 +917,7 @@ def test_classes_above_the_table_limit_need_no_inverse_rule():
     assert S7.order > groups.TABLE_LIMIT
     A = FiniteGroup("S7 again", S7.elements, Permutation.__mul__,
                     generators=list(S7._gen_descs))
-    assert len(A.classes) == 15
+    assert A.classes.num_classes == 15
     assert A._table is None
 
 

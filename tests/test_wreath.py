@@ -602,6 +602,16 @@ def test_wreath_tables_and_orbits_make_no_wreath_product(C2):
     assert list(class_of) == list(conjugation_orbits(fresh)[0])
 
 
+@pytest.mark.parametrize("parts", [(0, 0, 0), (0,)], ids=["longer", "shorter"])
+def test_level_classifier_refuses_a_non_element_by_name(parts):
+    W = WreathGroup(catalog_group("C2"), 2)
+    d = WreathElement(parts, Permutation.identity(len(parts)))
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(d))} is not an "
+                                         f"element of C2 wr S2$") as err:
+        W.classes.class_of_desc(d)
+    assert type(err.value) is ValueError
+
+
 @pytest.mark.parametrize("name, n", [("trivial", 3), ("C2", 3), ("C4", 1),
                                      ("S3", 2), ("Dic3", 2)])
 def test_level_index_of_is_the_enumerated_index(name, n, monkeypatch):
