@@ -15,15 +15,18 @@ and proves the map with it.  Edges are read off the right-multiplication
 column of s (`FiniteGroup.column`), the index sequence x -> x*s, made once
 per element and cached on the group.  `verify` and the conjugation orbits
 handle a whole column at once, gathering index sequences through one
-another (`_gather`) rather than stepping edge by edge.  A column costs |G|
-native products, or none where the group's construction gives the column:
-the permutation closure keeps the columns of its generators, a direct
-product reads the factors' columns at i*|H| + j, a subgroup the ambient
-column, and a wreath product G wr S_n (`wreath.WreathGroup`) the base
-group's columns, slot by slot, at the index P(g) * n! + rank(s) of (g, s).
-Inverses follow one rule: direct products, subgroups and wreath levels
-derive their inverse arrays from their parts' as they do their columns;
-every other group reads it off its kept spanning tree (below).
+another (`_gather`) rather than stepping edge by edge.  A column costs no
+native product once the group is built.  The construction gives it where
+it can: the permutation closure keeps the columns of its generators, a
+direct product reads the factors' columns at i*|H| + j, a subgroup the
+ambient column, and a wreath product G wr S_n (`wreath.WreathGroup`) the
+base group's columns, slot by slot, at the index P(g) * n! + rank(s) of
+(g, s).  Every other column is one walk of the kept spanning tree (below)
+and two gathers; only the columns that decide that tree, on a group whose
+construction records no generating set, cost |G| native products each.
+Inverses follow one rule: direct products and subgroups derive their
+inverse arrays from their parts' as they do their columns; every other
+group, wreath levels included, reads it off its kept spanning tree.
 Every walk is a breadth-first queue, a list that grows while it is read,
 and every orbit split is one `_orbit_partition`: the conjugacy classes and
 the double cosets that `pullback` counts.
@@ -37,13 +40,15 @@ graph of that set (`_spanning_tree`), walked once, on first use, and its
 conjugation steps (`_spanning_steps`), made once: the Cayley table,
 `conjugates`, `hom_from_generator_images` on that set and
 `conjugation_orbits` read them rather than walking again.  An element's
-conjugates, a homomorphism's images and the inverse array are each one
-walk of values along the tree (`_walk`).
+conjugates, a homomorphism's images, the inverse array and a column are
+each one walk of values along the tree (`_walk`).
 Conjugacy classes take one class-data form (`ConjugacyClasses`): sizes, a
 classifier of descriptors, and representatives and a class array made on
 first use.  Orbit-computed groups hold their array from the start; direct
 products and wreath levels make it only when it is read.
-`mul` is always a single native product.  `FiniteGroup.cayley_table()`
+`mul` is always a single native product; it and its readers (`conj`,
+`element_order`), `check_group_axioms` and the columns that decide the
+tree are the only native products.  `FiniteGroup.cayley_table()`
 (orders <= 4096 only) is an output for tests and the benchmark's tracer:
 no library code builds or reads it, and a built table changes no answer of
 `mul` or `column`.  The conjugates w^-1 x w of an element by every w
@@ -324,16 +329,17 @@ class FiniteGroup:
     def __init__(self, label, elements, mul_desc, *, generators=(),
                  order=None, _column_of=None):
         # _column_of(s), if given, makes the column of s without native
-        # products: direct products and subgroups derive it.  Inverses come
-        # from the kept spanning tree (`_compute_inverses`) unless the
-        # construction derives them, as direct products, subgroups and
-        # wreath levels do.
+        # products: direct products, subgroups and wreath levels derive it;
+        # any other column is a walk of the kept spanning tree (`column`).
+        # Inverses come from the tree (`_inverse_array`) unless the
+        # construction derives them, as direct products and subgroups do.
         self.label = label
         self._mul_desc = mul_desc
         self._elements = None if elements is None else list(elements)
         self.order = order if order is not None else len(self._elements)
         self._gen_descs = tuple(generators)
         self._spanning = self._tree = None
+        self._deciding = False      # `_spanning_tree` is walking
         self._classes = None
         self._index: dict | None = None
         self._table = None
@@ -388,12 +394,19 @@ class FiniteGroup:
         generators decides it: they are kept if the walk spans the group,
         else `find_generators` replaces them and is walked instead."""
         if self._tree is None:
-            # a recorded set is empty only on a trivial group, where any spans
-            gens = self._spanning or list(self.generator_indices)
-            tree = self._generator_columns(gens)
-            if len(tree) < self.order - 1:
-                gens = find_generators(self)
+            # the columns read meanwhile are native (`column`): a walk of
+            # the tree that they decide would recurse
+            self._deciding = True
+            try:
+                # a recorded set is empty only on a trivial group, where
+                # any spans
+                gens = self._spanning or list(self.generator_indices)
                 tree = self._generator_columns(gens)
+                if len(tree) < self.order - 1:
+                    gens = find_generators(self)
+                    tree = self._generator_columns(gens)
+            finally:
+                self._deciding = False
             self._spanning, self._tree = gens, tree
         return self._tree
 
@@ -413,12 +426,8 @@ class FiniteGroup:
         return self._inverse_array()[i]
 
     def _inverse_array(self):
-        if self._inverses is None:
-            self._inverses = self._compute_inverses()
-        return self._inverses
-
-    def _compute_inverses(self):
-        """The inverse array, read off the kept spanning tree with the
+        """The inverse array, made once: the construction's (direct
+        products, subgroups), else read off the kept spanning tree with the
         generators' columns alone: no descriptor, native product or table.
 
         Left multiplication by a commutes with right multiplication, so
@@ -426,10 +435,12 @@ class FiniteGroup:
         the one walked from g_k^-1, the element g_k's column sends to the
         identity.  As (p * g_k)^-1 = g_k^-1 * p^-1, the inverse array is
         the tree walked from the identity along `left`."""
-        tree = self._spanning_tree()
-        cols = list(map(self.column, self._spanning_generators()))
-        left = [_walk(tree, col.index(0), cols) for col in cols]
-        return array("i", _walk(tree, 0, left))
+        if self._inverses is None:
+            tree = self._spanning_tree()
+            cols = list(map(self.column, self._spanning_generators()))
+            left = [_walk(tree, col.index(0), cols) for col in cols]
+            self._inverses = array("i", _walk(tree, 0, left))
+        return self._inverses
 
     def conj(self, s: int, x: int) -> int:
         """s * x * s^-1"""
@@ -447,9 +458,14 @@ class FiniteGroup:
         index x, made once and cached.
 
         Made by the construction's column rule (direct products,
-        subgroups), else by |G| native products.  The identity's column
-        needs no product, and a permutation closure caches its generators'
-        columns when built.
+        subgroups, wreath levels); a permutation closure caches its
+        generators' columns when built.  Any other column is one walk of the
+        kept spanning tree and two gathers, with no native product: x*s =
+        inv[s^-1 * inv[x]], and y -> s^-1 * y is the tree walked from s^-1
+        along the generators' columns, as in `_inverse_array`.  Only the
+        columns that decide the tree (`_spanning_tree`), the stored
+        generators' and `find_generators`' candidates', cost |G| native
+        products each.
         """
         col = self._columns.get(s)
         if col is None:
@@ -457,9 +473,16 @@ class FiniteGroup:
                 col = range(self.order)
             elif self._column_of is not None:
                 col = self._column_of(s)
-            else:
+            elif self._deciding:
                 els, mul, d = self.elements, self._mul_desc, self.elements[s]
                 col = _gather(self.index, [mul(a, d) for a in els])
+            else:
+                inv = self._inverse_array()     # walks the tree first
+                col = self._columns.get(s)      # if it decided the tree
+                if col is None:
+                    cols = list(map(self.column, self._spanning_generators()))
+                    left = _walk(self._spanning_tree(), inv[s], cols)
+                    col = _gather(inv, _gather(left, inv))
             self._columns[s] = col
         return col
 
@@ -916,9 +939,9 @@ def _as_index(G: FiniteGroup, x) -> int:
 
 
 def check_group_axioms(G: FiniteGroup) -> str:
-    """Identity, inverses and associativity, on every element, pair and
-    triple of G.  Returns "exhaustive"; raises ValueError naming the first
-    failure.
+    """Closure, identity, inverses and associativity, on every pair,
+    element, pair and triple of G.  Returns "exhaustive"; raises ValueError
+    naming the first failure.
 
     The check is cubic in |G|, so a group above AXIOM_LIMIT raises
     ResourceLimitError before any product.  Every product is a native one,
@@ -930,7 +953,10 @@ def check_group_axioms(G: FiniteGroup) -> str:
         raise ResourceLimitError(
             f"no axiom check above order {AXIOM_LIMIT} (|{G.label}| = {n})")
     els, index, mul_desc = G.elements, G.index, G._mul_desc
-    t = array("i", (index[mul_desc(a, b)] for a in els for b in els))
+    t = array("i", (index.get(mul_desc(a, b), -1) for a in els for b in els))
+    if -1 in t:
+        i, j = divmod(t.index(-1), n)
+        raise ValueError(f"closure fails at ({i},{j})")
     rng = range(n)
     for i in rng:
         if t[i] != i or t[i * n] != i:

@@ -23,6 +23,10 @@ tuples (`merge_entries`), which also gives the integer ratio of centralizer
 orders that the Fock product's fusion rule needs; the Fock product runs it
 on the entry tuples themselves, and a level is indexed by them
 (`class_index_of_type`), so its fusion builds no `TypeMatrix`.
+
+At the element level no wreath product is made either: a level's columns
+come from the base group's by index arithmetic, and its inverses are one
+walk of its kept spanning tree along those columns (`groups`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from operator import index, mul
 from typing import NamedTuple
 
@@ -318,11 +321,12 @@ class WreathGroup(FiniteGroup):
     element (g, s) has index P(g) * n! + rank(s), where P(g) reads the
     parts g_0 ... g_{n-1} as the digits of a base-|G| number and rank(s) is
     the position of s among the permutations of the slots in lexicographic
-    order.  Columns and inverses are computed on these indices from the
-    base group's columns and inverses (`_slot_sweep`), with no product of
-    wreath elements, and `index_of` reads the index off a descriptor, so
-    class representatives and stored generators are located without
-    enumerating the level.
+    order.  Columns are computed on these indices from the base group's
+    columns (`_derived_column`), with no product of wreath elements; the
+    inverse array is read off the level's kept spanning tree, as on any
+    group whose construction derives none.  `index_of` reads the index off
+    a descriptor, so class representatives and stored generators are
+    located without enumerating the level.
     """
 
     def __init__(self, base: FiniteGroup, n: int):
@@ -357,11 +361,16 @@ class WreathGroup(FiniteGroup):
         sizes = [order // cent for cent in cents]
         assert all(size * cent == order for size, cent in zip(sizes, cents))
 
+        digits = range(base.order)
+
         def classify(d: WreathElement) -> int:
+            # a part outside the base group has no cycle product
             try:
-                return type_index[type_of(base, d).entries]
+                if all(g in digits for g in d.parts):
+                    return type_index[type_of(base, d).entries]
             except KeyError:
-                raise ValueError(f"{d!r} is not an element of {self.label}") from None
+                pass
+            raise ValueError(f"{d!r} is not an element of {self.label}")
 
         self._classes = ConjugacyClasses(
             self, sizes, classify, lambda: _type_reps(base, n, self.types))
@@ -402,25 +411,6 @@ class WreathGroup(FiniteGroup):
         """The index of each permutation of the slots."""
         return {p: i for i, p in enumerate(self._slot_perms)}
 
-    def _slot_sweep(self, rule) -> list[int]:
-        """An index sequence over every element x = (g, s), in index order,
-        built from per-slot lookups.
-
-        rule(s) gives (maps, q): n sequences over the base group and an
-        index, and the entry at x is q + sum over slots i of maps[i][g_i].
-        For each s the sums over every g are laid out in lexicographic order
-        of g, one slot at a time, as `direct_product` lays out its pairs.
-        """
-        sums, qs = [], []
-        for s in self._slot_perms:
-            maps, q = rule(s)
-            acc = [0]
-            for m in maps:
-                acc = [a + b for a in acc for b in m]
-            sums.append(acc)
-            qs.append(q)
-        return [a + q for row in zip(*sums) for a, q in zip(row, qs)]
-
     def _place_values(self) -> list[int]:
         """The index weight of a base element in slot i: |G|^(n-1-i) * n!."""
         n, b = self.n, self.base.order
@@ -441,36 +431,27 @@ class WreathGroup(FiniteGroup):
 
         For x = (g, s) and y = (h, t), x*y = (g_i * h_{s^-1(i)}, s t): slot
         s(k) of the product holds g_{s(k)} * h_k, which is the base column
-        of h_k read at g_{s(k)}.  |G wr S_n| lookups, no wreath product.
+        of h_k read at g_{s(k)}.  For each s the weighted sums over every g
+        are laid out in lexicographic order of g, one slot at a time, as
+        `direct_product` lays out its pairs.  |G wr S_n| lookups, no wreath
+        product.
         """
         h, t = self._digits(y)
         rank = self._slot_rank
         place = self._place_values()
         col = self.base.column
         weighted = [[[c * w for c in col(hk)] for w in place] for hk in h]
-
-        def rule(s):
+        sums, qs = [], []
+        for s in self._slot_perms:
             maps = [None] * self.n
             for k, i in enumerate(s):
                 maps[i] = weighted[k][i]
-            return maps, rank[tuple(map(s.__getitem__, t))]
-
-        return self._slot_sweep(rule)
-
-    def _compute_inverses(self):
-        """The inverse of (g, s) is (g', s^-1) with g'_j = g_{s(j)}^-1: slot
-        i of g lands, inverted, in slot s^-1(i).  Read off the base group's
-        inverse array, with no wreath product."""
-        rank = self._slot_rank
-        place = self._place_values()
-        binv = self.base._inverse_array()
-        weighted = [[binv[a] * w for a in range(self.base.order)] for w in place]
-
-        def rule(s):
-            sinv = Permutation._unchecked(s).inverse().images
-            return [weighted[j] for j in sinv], rank[sinv]
-
-        return array("i", self._slot_sweep(rule))
+            acc = [0]
+            for m in maps:
+                acc = [a + b for a in acc for b in m]
+            sums.append(acc)
+            qs.append(rank[tuple(map(s.__getitem__, t))])
+        return [a + q for row in zip(*sums) for a, q in zip(row, qs)]
 
     def class_index_of_type(self, t: TypeMatrix) -> int:
         """The index of the class of type t, looked up by its entries;

@@ -106,25 +106,32 @@ def test_group_axioms_exhaustive(name):
 
 def broken_s3(S3, a, b, c):
     """S3's elements under S3's product, but with the one product a*b of
-    indices made c.  For c != a*b it is no group, as no row of a group's
-    table repeats an entry."""
+    indices made the descriptor c.  For c != a*b it is no group, as no row
+    of a group's table repeats an entry, and no element of S3 is of
+    another degree."""
     els = S3.elements
 
     def mul(x, y):
-        return els[c] if (x, y) == (els[a], els[b]) else x * y
+        return c if (x, y) == (els[a], els[b]) else x * y
 
     return FiniteGroup("broken S3", els, mul)
 
 
-@pytest.mark.parametrize("axiom", ["identity", "inverse", "associativity"])
+@pytest.mark.parametrize("axiom", ["closure", "identity", "inverse",
+                                   "associativity"])
 def test_check_group_axioms_names_the_broken_axiom(S3, axiom):
     flip = min(x for x in range(1, S3.order) if S3.inv(x) == x)
     turn = min(x for x in range(1, S3.order) if S3.inv(x) != x)
+    t = S3.index_of(Permutation.from_cycles(3, [(0, 1)]))
+    els = S3.elements
     a, b, c, shown = {
-        "identity": (0, flip, turn, f"identity fails at {flip}"),
+        # (0 1)*(0 1), the identity, made the identity on four points
+        "closure": (t, t, Permutation.identity(4),
+                    rf"closure fails at \({t},{t}\)"),
+        "identity": (0, flip, els[turn], f"identity fails at {flip}"),
         # turn < turn^-1, so the pair (turn, turn^-1) is checked first
-        "inverse": (turn, S3.inv(turn), turn, f"inverse fails at {turn}"),
-        "associativity": (flip, turn, 0,
+        "inverse": (turn, S3.inv(turn), els[turn], f"inverse fails at {turn}"),
+        "associativity": (flip, turn, els[0],
                           r"associativity fails at \(\d+,\d+,\d+\)"),
     }[axiom]
     A = broken_s3(S3, a, b, c)
@@ -910,6 +917,38 @@ def test_inverse_array_needs_no_inverse_rule_and_no_product(G, data):
             assert list(A._inverse_array()) == oracle
         assert A._table is None
     assert len(stored._spanning_generators()) > 1
+
+
+def assert_columns_need_no_product(A):
+    """Once A's spanning tree is walked, every column of every element is
+    made with `_mul_desc` refusing, and equals the native column."""
+    els, index, mul = A.elements, A.index, A._mul_desc
+    oracle = [[index[mul(a, b)] for a in els] for b in els]
+    A._spanning_tree()
+    with mock.patch.object(A, "_mul_desc",
+                           side_effect=AssertionError("native product")):
+        assert [list(A.column(s)) for s in range(A.order)] == oracle
+
+
+@walk_settings
+@given(perm_groups(max_degree=5))
+def test_columns_are_read_off_the_tree_without_a_product(G):
+    assert_columns_need_no_product(G)
+
+
+@pytest.mark.parametrize("name", ["trivial", "C2", "C3", "C4", "C6", "S3",
+                                  "S4", "S5", "D8", "D12", "Dic3",
+                                  "not spanning"])
+def test_catalog_columns_are_read_off_the_tree_without_a_product(name):
+    # Dic3's stored generators, and the find_generators candidates of a D12
+    # stored with one generator, make their columns natively as the tree is
+    # walked
+    if name == "not spanning":
+        D12 = catalog_group("D12")
+        A = with_generators(D12, D12.generator_indices[:1])
+    else:
+        A = catalog_group.__wrapped__(name)
+    assert_columns_need_no_product(A)
 
 
 def test_classes_above_the_table_limit_need_no_inverse_rule():

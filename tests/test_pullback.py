@@ -14,13 +14,14 @@ from wreathfock import ratlinalg
 from wreathfock.catalog import catalog_group, hom_from_json
 from wreathfock.classfun import indicator, pullback_along
 from wreathfock.cli import main
-from wreathfock.groups import (Permutation, direct_product,
+from wreathfock.groups import (ConjugacyClasses, Permutation, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
 from wreathfock.pullback import (_wreath_split, build_pullback,
-                                 class_pair_splitting, fusion_pattern,
-                                 is_conjugacy_closed, n_cycle_classes_closed,
-                                 n_cycle_closed_brute, restriction_map_matrix,
+                                 class_pair_splitting, decomposition_report,
+                                 fusion_pattern, is_conjugacy_closed,
+                                 n_cycle_classes_closed, n_cycle_closed_brute,
+                                 restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
                                  verify_class_ring_decomposition)
 from wreathfock.wreath import (WreathElement, WreathGroup, class_count_series,
@@ -128,6 +129,20 @@ def test_sign_pullback_is_not_tensor_decomposable(gamma):
     assert doc["is_isomorphism"] is False and doc["witness"] is not None
 
 
+def test_decomposition_report_refuses_a_met_pair_over_two_k_classes(S3, C2):
+    # no carrier class lies over such a pair; a hand-built count claims one
+    sgn = _sign(S3, C2)
+    over_K = sgn.class_map
+    k = len(over_K)
+    rho, gam = next((r, g) for r in range(k) for g in range(k)
+                    if over_K[r] != over_K[g])
+    hits = [1 if p == rho * k + gam else 0 for p in range(k * k)]
+    with pytest.raises(AssertionError,
+                       match="^tensor relation does not vanish on the "
+                             "carrier$"):
+        decomposition_report(sgn, sgn, hits, None)
+
+
 def test_dihedral_dicyclic_decomposition(D12, Dic3, S3):
     r = D12.index_of(Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
     s = D12.index_of(Permutation((0, 5, 4, 3, 2, 1)))
@@ -216,6 +231,22 @@ def test_n_cycle_classes_closed_matches_brute():
     assert fast == brute
     assert len(fast) == 6  # one n-cycle class per base class of C2 x C3
     assert all(closed for _, _, closed in fast)
+
+
+def test_n_cycle_closed_brute_reports_a_misclassified_orbit_member(
+        monkeypatch):
+    # every member of an orbit but the class representative is classified
+    # one class on, so no n-cycle class reads as closed
+    A, B = catalog_group("C2"), catalog_group("C3")
+    classify = ConjugacyClasses.class_of_desc
+
+    def misread(self, d):
+        return classify(self, d) + (d not in self.rep_descs)
+
+    monkeypatch.setattr(ConjugacyClasses, "class_of_desc", misread)
+    brute = n_cycle_closed_brute(A, B, 2)
+    assert len(brute) == 6
+    assert not any(closed for _, _, closed in brute)
 
 
 # ---------------------------------------------------------------------------

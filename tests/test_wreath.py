@@ -602,14 +602,19 @@ def test_wreath_tables_and_orbits_make_no_wreath_product(C2):
     assert list(class_of) == list(conjugation_orbits(fresh)[0])
 
 
-@pytest.mark.parametrize("parts", [(0, 0, 0), (0,)], ids=["longer", "shorter"])
+@pytest.mark.parametrize("parts", [(0, 0, 0), (0,), (-1, 0), (2, 0)],
+                         ids=["longer", "shorter", "negative",
+                              "past_the_base"])
 def test_level_classifier_refuses_a_non_element_by_name(parts):
     W = WreathGroup(catalog_group("C2"), 2)
     d = WreathElement(parts, Permutation.identity(len(parts)))
-    with pytest.raises(ValueError, match=f"^{re.escape(repr(d))} is not an "
-                                         f"element of C2 wr S2$") as err:
-        W.classes.class_of_desc(d)
-    assert type(err.value) is ValueError
+    # a class function reads the same classifier
+    chi = ClassFunction(W, [0] * W.classes.num_classes)
+    shown = f"^{re.escape(repr(d))} is not an element of C2 wr S2$"
+    for read in (W.classes.class_of_desc, chi.at_desc):
+        with pytest.raises(ValueError, match=shown) as err:
+            read(d)
+        assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("name, n", [("trivial", 3), ("C2", 3), ("C4", 1),
