@@ -50,12 +50,16 @@ def _write_json(out, obj) -> None:
         out.write(_encode(obj))
 
 
-def _emit(args, obj, table: str) -> None:
+def _emit(args, obj, table) -> None:
+    """Write `obj` as one JSON line under --format json, else `table`: a
+    string, or an iterable of lines that is read only here, so a long
+    table streams line by line."""
     if args.format == "json":
         _write_json(sys.stdout, obj)
         sys.stdout.write("\n")
     else:
-        sys.stdout.write(table + "\n")
+        for line in [table] if isinstance(table, str) else table:
+            sys.stdout.write(line + "\n")
 
 
 def _load_base(name: str) -> FiniteGroup:
@@ -152,16 +156,15 @@ def cmd_wreath_classes(args) -> int:
             yield {"index": k, "type": t.to_json(),
                    "size": size, "centralizer_order": order // size}
 
-    if args.format == "json":
-        # each row is written as it is made; a level can have thousands
-        _emit(args, {"base": G.label, "n": args.n, "order": order,
-                     "num_classes": len(types), "classes": rows()}, "")
-        return 0
-    lines = [f"{G.label} wr S{args.n}: order {order}, {len(types)} classes"]
-    for r in rows():
-        lines.append(f"  class {r['index']}: entries {r['type']['entries']}, "
-                     f"size {r['size']}, centralizer {r['centralizer_order']}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    def lines():
+        yield f"{G.label} wr S{args.n}: order {order}, {len(types)} classes"
+        for r in rows():
+            yield (f"  class {r['index']}: entries {r['type']['entries']}, "
+                   f"size {r['size']}, centralizer {r['centralizer_order']}")
+
+    # each row is written as it is made; a level can have thousands
+    _emit(args, {"base": G.label, "n": args.n, "order": order,
+                 "num_classes": len(types), "classes": rows()}, lines())
     return 0
 
 
@@ -383,14 +386,13 @@ def cmd_golden(args) -> int:
     results = run_all()
     doc = [{"name": name, "passed": ok, "detail": detail}
            for name, ok, detail in results]
-    if args.format == "json":
-        _emit(args, doc, "")
-    else:
-        lines = []
+
+    def lines():
         for name, ok, detail in results:
-            lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-            lines.extend("     " + ln for ln in detail.splitlines())
-        sys.stdout.write("\n".join(lines) + "\n")
+            yield f"{'PASS' if ok else 'FAIL'} {name}"
+            yield from ("     " + ln for ln in detail.splitlines())
+
+    _emit(args, doc, lines())
     return 0 if all(ok for _, ok, _ in results) else 1
 
 

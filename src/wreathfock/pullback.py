@@ -9,7 +9,8 @@ isomorphism  Class(G) (x)_{Class(K)} Class(H)  ->  Class(Gamma).
 Every verdict is read off `hits`, the number of Gamma-classes over each
 class pair of G x H.  `class_pair_splitting` counts them as double cosets
 in K (orbits of `groups._orbit_partition`), from classes and centralizers
-of G, H and K, so neither G x H nor Gamma is built.  The carrier
+of G, H and K, so neither G x H nor Gamma is built; each centralizer image
+in K is closed once, not once per class pair.  The carrier
 (`build_pullback`) is the oracle: its inclusion's class map gives the same
 counts (`_carrier_hits`), which `is_conjugacy_closed`, `fusion_pattern` and
 `verify_class_ring_decomposition` read, and it alone supplies the witness
@@ -32,7 +33,7 @@ from .classfun import indicator, pullback_along
 from .groups import (FiniteGroup, Homomorphism, _gather, _orbit_partition,
                      centralizer, compose_homs, direct_product,
                      find_generators_on, subgroup)
-from .wreath import (TypeMatrix, WreathElement, WreathGroup, _check_level,
+from .wreath import (TypeMatrix, WreathElement, _check_level,
                      class_count_series, quotient_to_symmetric, wreath_group)
 
 
@@ -110,39 +111,38 @@ def class_pair_splitting(alpha: Homomorphism, beta: Homomorphism) -> list[int]:
     K-class.  Otherwise fix h in it.  The pairs (g, y) are the
     beta^-1(C_K(k))-conjugates of (g, h), and Gamma's stabilizer of g acts
     on them through beta^-1(alpha(C_G(g))), so their Gamma-classes are the
-    double cosets alpha(C_G(g)) \\ C_K(k) / beta(C_H(h)).  Neither G x H
+    double cosets alpha(C_G(g)) \\ C_K(k) / beta(C_H(h)).  Each is the orbit
+    of an element of C_K(k) under x -> a^-1*x and x -> x*b, for generators
+    a of alpha(C_G(g)) and b of beta(C_H(h)) (`_orbit_partition`).  Each
+    centralizer image is closed once, by `find_generators_on` in K, into
+    its steps: the left ones once per representative g, the right ones
+    once per h looked up, and C_K(k) is made once per k.  Neither G x H
     nor Gamma is built; the class map of the carrier's inclusion is the
     oracle.
     """
     _check_structure_maps(alpha, beta)
     G, H, K = alpha.dom, beta.dom, alpha.cod
+    inv = K._inverse_array()
+
+    def columns(f, x):
+        # the columns in K of generators of f(C(x)), closed once
+        B = sorted({f(s) for s in centralizer(f.dom, x)})
+        return [K.column(B[p]) for p in find_generators_on(K, B)]
+
     # a member y of each H-class over each element beta(y) of K
     over = {(gam, beta(y)): y for y, gam in enumerate(H.classes.class_of)}
-    right = functools.cache(
-        lambda h: sorted({beta(s) for s in centralizer(H, h)}))
+    right = functools.cache(lambda h: columns(beta, h))
+    mid = functools.cache(lambda k: centralizer(K, k))
     hits = []
     for g in G.classes.reps:
         k = alpha(g)
-        left = sorted({alpha(s) for s in centralizer(G, g)})
-        mid = centralizer(K, k)
+        # x -> a^-1*x = inv[inv[x]*a] for generators a of alpha(C_G(g))
+        left = [_gather(inv, _gather(c, inv)) for c in columns(alpha, g)]
         for gam in range(H.classes.num_classes):
             h = over.get((gam, k))
             hits.append(0 if h is None else
-                        _double_cosets(K, left, mid, right(h)))
+                        len(_orbit_partition(mid(k), left + right(h))))
     return hits
-
-
-def _double_cosets(K: FiniteGroup, A: list, C: list, B: list) -> int:
-    """|A \\ C / B| for subgroups A and B of the subgroup C of K, each given
-    by its element indices, A and B in increasing order.  Each double coset
-    A c B is the orbit of c under x -> x*b and x -> a^-1*x = inv[inv[x]*a]
-    for generators b of B and a of A, each step an index sequence made from
-    K's column of the generator (`groups._orbit_partition`)."""
-    inv = K._inverse_array()
-    steps = [K.column(B[p]) for p in find_generators_on(K, B)] + [
-        _gather(inv, _gather(K.column(A[p]), inv))
-        for p in find_generators_on(K, A)]
-    return len(_orbit_partition(C, steps))
 
 
 def _carrier_hits(incl: Homomorphism) -> list[int]:
@@ -314,15 +314,18 @@ def decomposition_report(alpha: Homomorphism, beta: Homomorphism,
 # wreath specialization: (A x B) wr S_n as a pullback over S_n
 
 
-def _wreath_split(An: WreathGroup, Bn: WreathGroup):
-    """The map ((a, b), s) -> ((a, s), (b, s)) from the descriptors of
-    (A x B) wr S_n to the indices of A_n x B_n, by index arithmetic.
+def _wreath_split(A: FiniteGroup, B: FiniteGroup, n: int):
+    """(W, A_n, B_n, split): the levels W = (A x B) wr S_n, A_n = A wr S_n
+    and B_n = B wr S_n, and the map ((a, b), s) -> ((a, s), (b, s)) from
+    the descriptors of W to the indices of A_n x B_n, by index arithmetic.
 
     A part a * |B| + b splits into the digits a and b, so (a, s) has index
     P(a) * n! + rank(s) in A_n (`wreath.WreathGroup`), likewise (b, s) in
     B_n, and the pair has index ia * |B_n| + ib (`direct_product`).
     """
-    nA, nB = An.base.order, Bn.base.order
+    W = wreath_group(direct_product(A, B)[0], n)
+    An, Bn = wreath_group(A, n), wreath_group(B, n)
+    nA, nB = A.order, B.order
     rank = An._slot_rank
     f = len(rank)                           # n!
 
@@ -334,7 +337,7 @@ def _wreath_split(An: WreathGroup, Bn: WreathGroup):
         r = rank[d.perm.images]
         return (pa * f + r) * Bn.order + pb * f + r
 
-    return split
+    return W, An, Bn, split
 
 
 def semidirect_product_iso(A: FiniteGroup, B: FiniteGroup, n: int):
@@ -344,11 +347,9 @@ def semidirect_product_iso(A: FiniteGroup, B: FiniteGroup, n: int):
     explicit map (`_wreath_split`), verifies it is a bijective
     homomorphism, and returns (pb, phi).
     """
-    AB = direct_product(A, B)[0]
-    W = wreath_group(AB, n)
-    An, Bn = wreath_group(A, n), wreath_group(B, n)
+    W, An, Bn, split = _wreath_split(A, B, n)
     pb = build_pullback(quotient_to_symmetric(An), quotient_to_symmetric(Bn))
-    split, at = _wreath_split(An, Bn), pb.carrier.index_of
+    at = pb.carrier.index_of
     phi = Homomorphism(W, pb.carrier, [at(split(d)) for d in W.elements],
                        label="wreath split")
     phi.verify()
@@ -389,12 +390,9 @@ def n_cycle_closed_brute(A: FiniteGroup, B: FiniteGroup, n: int):
     A_n x B_n class (the orbit walk of `groups.conjugation_orbits`), then
     compare the members lying in (A x B) wr S_n against the type-defined
     class."""
-    AB = direct_product(A, B)[0]
-    W = wreath_group(AB, n)
-    An, Bn = wreath_group(A, n), wreath_group(B, n)
+    W, An, Bn, split = _wreath_split(A, B, n)
     amb = direct_product(An, Bn)[0]
-    pair_index = {p: i for i, p in enumerate(AB.elements)}
-    split = _wreath_split(An, Bn)
+    pair_index = {p: i for i, p in enumerate(W.base.elements)}
 
     def joint(desc: tuple) -> WreathElement | None:
         xa, xb = An.elements[desc[0]], Bn.elements[desc[1]]

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from wreathfock.catalog import catalog_group
+
+# Every property test draws the same examples on every run, and none reads
+# or writes an example database, so no result depends on an earlier run.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

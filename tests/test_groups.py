@@ -134,13 +134,23 @@ def test_check_group_axioms_names_the_broken_axiom(S3, axiom):
         "associativity": (flip, turn, els[0],
                           r"associativity fails at \(\d+,\d+,\d+\)"),
     }[axiom]
-    A = broken_s3(S3, a, b, c)
-    # S3's inverses: the ones A would read off its tree follow the broken
-    # product
-    with mock.patch.object(A, "inv", S3.inv), \
-            pytest.raises(ValueError, match=f"^{shown}$") as err:
-        check_group_axioms(A)
+    with pytest.raises(ValueError, match=f"^{shown}$") as err:
+        check_group_axioms(broken_s3(S3, a, b, c))
     assert type(err.value) is ValueError
+
+
+def test_check_group_axioms_names_an_axiom_for_every_wrong_product(S3):
+    # each of S3's 36 products made each of its 5 wrong values; a tree
+    # walked off the broken product could fail with a message naming none
+    els = S3.elements
+    cases = [(a, b, c) for a in range(6) for b in range(6) for c in els
+             if c != els[a] * els[b]]
+    assert len(cases) == 180
+    for a, b, c in cases:
+        with pytest.raises(ValueError, match=r"^(closure|identity|inverse|"
+                           r"associativity) fails at ") as err:
+            check_group_axioms(broken_s3(S3, a, b, c))
+        assert type(err.value) is ValueError
 
 
 def test_check_group_axioms_refuses_above_its_limit():

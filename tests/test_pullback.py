@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from test_groups import SMALL_LEVELS, closure, native_table, perm_groups
 from type_walk_oracle import n_cycle_classes_closed_by_walk
-from wreathfock import ratlinalg
+from wreathfock import pullback, ratlinalg
 from wreathfock.catalog import catalog_group, hom_from_json
 from wreathfock.classfun import indicator, pullback_along
-from wreathfock.cli import main
+from wreathfock.cli import _load_scenario_file, main
 from wreathfock.groups import (ConjugacyClasses, Permutation, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
@@ -24,8 +25,7 @@ from wreathfock.pullback import (_wreath_split, build_pullback,
                                  restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
                                  verify_class_ring_decomposition)
-from wreathfock.wreath import (WreathElement, WreathGroup, class_count_series,
-                               wreath_group)
+from wreathfock.wreath import WreathElement, WreathGroup, class_count_series
 
 
 def _sign(S3, C2):
@@ -196,11 +196,12 @@ def test_wreath_of_product_splits_as_pullback(a, b, n):
 def test_wreath_split_is_the_descriptor_split(a, b, n):
     # the oracle splits each part into its pair and looks both halves up
     A, B = catalog_group(a), catalog_group(b)
+    W, An, Bn, split = _wreath_split(A, B, n)
     AB = direct_product(A, B)[0]
-    An, Bn = wreath_group(A, n), wreath_group(B, n)
+    assert (W.base.elements, W.n, An.base, An.n, Bn.base, Bn.n) == (
+        AB.elements, n, A, n, B, n)
     amb = direct_product(An, Bn)[0]
-    split = _wreath_split(An, Bn)
-    for d in wreath_group(AB, n).elements:
+    for d in W.elements:
         halves = [WreathElement(tuple(AB.elements[p][k] for p in d.parts),
                                 d.perm) for k in (0, 1)]
         assert split(d) == amb.index_of((An.index_of(halves[0]),
@@ -393,6 +394,31 @@ def test_s6_sign_pullback_class_count():
     sgn = _to_k(S6, C2)
     hits = class_pair_splitting(sgn, sgn)
     assert (sum(hits), max(hits)) == (62, 2)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+@pytest.mark.parametrize("scenario,closures,k_centralizers", [
+    ("S6-sign", 22, 2), ("s3xs3", 6, 2), ("d12_dic3", 16, 5)])
+def test_class_route_closes_each_centralizer_image_once(
+        scenario, closures, k_centralizers):
+    # `find_generators_on` once per G-class representative plus once per
+    # H-element looked up, and `centralizer` on K once per k; a closure of
+    # both images per class pair made 122 and 11 on S6 x_C2 S6, 10 and 3
+    # on S3 x_C2 S3, and 24 and 6 on D12 x_S3 Dic3
+    if scenario == "S6-sign":
+        alpha = beta = _to_k(catalog_group("S6"), catalog_group("C2"))
+    else:
+        alpha, beta = _load_scenario_file(SCENARIOS / f"{scenario}.json")
+    with mock.patch.object(pullback, "find_generators_on",
+                           wraps=pullback.find_generators_on) as closes, \
+            mock.patch.object(pullback, "centralizer",
+                              wraps=pullback.centralizer) as cent:
+        class_pair_splitting(alpha, beta)
+    assert closes.call_count == closures
+    assert sum(c.args[0] is alpha.cod
+               for c in cent.call_args_list) == k_centralizers
 
 
 # Over C2 an ambient class holds at most two carrier classes.  These
