@@ -21,10 +21,11 @@ from .groups import (FiniteGroup, Homomorphism, Permutation, check_order_cap,
                      group_from_permutation_generators,
                      hom_from_generator_images, max_order_cap)
 
-# matched whole: "C3\n" or "C\u0663" is not a catalog name
-_CYCLIC = re.compile(r"C([0-9]+)")
-_SYMMETRIC = re.compile(r"S([0-9]+)")
-_DIHEDRAL = re.compile(r"D([0-9]+)")
+# matched whole: "C3\n" or "C\u0663" is not a catalog name, and neither is
+# "C03" or "C0", so each group has one name and one cached instance
+_CYCLIC = re.compile(r"C([1-9][0-9]*)")
+_SYMMETRIC = re.compile(r"S([1-9][0-9]*)")
+_DIHEDRAL = re.compile(r"D([1-9][0-9]*)")
 
 
 def catalog_group(name: str) -> FiniteGroup:
@@ -48,15 +49,11 @@ def _build_catalog_group(name: str) -> FiniteGroup:
     m = _CYCLIC.fullmatch(name)
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError(f"bad cyclic order: {name}")
         gens = [] if n == 1 else [Permutation.from_cycles(n, [tuple(range(n))])]
         return group_from_permutation_generators(n, gens, label=name)
     m = _SYMMETRIC.fullmatch(name)
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError(f"bad symmetric degree: {name}")
         if n == 1:
             gens = []
         elif n == 2:

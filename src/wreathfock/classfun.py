@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import ratlinalg
-from .groups import FiniteGroup, Homomorphism, _gather, conjugates
+from .groups import FiniteGroup, Homomorphism, conjugates
 
 ZERO = Fraction(0)
 
@@ -175,33 +175,61 @@ def restrict(f: ClassFunction, incl: Homomorphism) -> ClassFunction:
     return pullback_along(f, incl)
 
 
-def _conjugate_counts(incl: Homomorphism) -> list:
-    """For an injective H -> G, per H-class j, the pairs (a, c) with c > 0
-    the number of r in G such that r^-1 y r lies in j, y the a-th class
-    representative of G.  Swept once per inclusion and kept on it, like
-    its `class_map`; a map that is not injective raises on every call.
+def _conjugate_sweep(G: FiniteGroup) -> tuple:
+    """For every element x of G, the class a whose representative y's
+    conjugates reach x, and the number of r in G with r^-1 y r = x: two
+    `array("i")`s indexed by element, swept once per group and kept on G,
+    like its `_spanning_steps`.
 
-    Each sweep visits every r in G: the |G| conjugates of y are one walk
-    of G's kept spanning tree (`groups.conjugates`), at any order and with
-    no native product or Cayley table, and one `Counter` counts their
-    H-classes.  The sweep reads no class map of G.
+    The sweep is one walk of G's kept spanning tree per representative
+    (`groups.conjugates`), at any order and with no native product or
+    Cayley table, and reads no class map of G.  An element that no walk
+    reaches, or that two reach, raises AssertionError: the class list
+    misses a class or holds two conjugate representatives.
+    """
+    sweep = G.__dict__.get("_conjugate_sweep")
+    if sweep is not None:
+        return sweep
+    rep_of = array("i", [-1]) * G.order
+    times = array("i", bytes(4 * G.order))
+    for a, y in enumerate(G.classes.reps):
+        for x, c in Counter(conjugates(G, y)).items():
+            if rep_of[x] != -1:
+                raise AssertionError(
+                    f"{G.label}: element {x} is conjugate to the "
+                    f"representatives of classes {rep_of[x]} and {a}")
+            rep_of[x], times[x] = a, c
+    if -1 in rep_of:
+        raise AssertionError(f"{G.label}: element {rep_of.index(-1)} is "
+                             f"conjugate to no class representative")
+    G._conjugate_sweep = rep_of, times
+    return rep_of, times
+
+
+def _conjugate_counts(incl: Homomorphism) -> list:
+    """For an injective H -> G, per H-class j, the pairs (a, c), in
+    increasing a, with c > 0 the number of r in G such that r^-1 y r lies
+    in j, y the a-th class representative of G.  Tallied once per
+    inclusion and kept on it, like its `class_map`; a map that is not
+    injective raises on every call.
+
+    The tally adds, over the images x of H's elements, the sweep's count
+    for x (`_conjugate_sweep`) to the pair of x's H-class and G-class:
+    O(|H|) per inclusion, as the sweep is made once per G.  Neither reads
+    a class map of G.
     """
     counts = incl.__dict__.get("_conjugate_counts")
     if counts is not None:
         return counts
     if not incl.is_injective():
         raise ValueError("induction needs an injective homomorphism")
-    H, G = incl.dom, incl.cod
-    # the H-class of every element of G, -1 off the image of incl
-    h_class = array("i", [-1]) * G.order
-    for a, j in zip(incl.images, H.classes.class_of):
-        h_class[a] = j
-    counts = [[] for _ in range(H.classes.num_classes)]
-    for a, y in enumerate(G.classes.reps):
-        hits = Counter(_gather(h_class, conjugates(G, y)))
-        hits.pop(-1, None)
-        for j, c in hits.items():
-            counts[j].append((a, c))
+    H = incl.dom
+    rep_of, times = _conjugate_sweep(incl.cod)
+    tally = [{} for _ in range(H.classes.num_classes)]   # per H-class, a -> c
+    for x, j in zip(incl.images, H.classes.class_of):
+        a, t = rep_of[x], tally[j]
+        t[a] = t.get(a, 0) + times[x]
+    counts = [sorted(t.items()) for t in tally]
     incl._conjugate_counts = counts
     return counts
 
@@ -217,13 +245,15 @@ def induce(f: ClassFunction, incl: Homomorphism,
     * ``"elements"``: the literal element sum above, the reference oracle.
       For each class representative y of G, one sweep over every r in G
       (a walk of G's kept spanning tree, `groups.conjugates`) counts, as
-      integers, the conjugates r^-1 y r that land in each H-class
-      (`_conjugate_counts`).  The counts depend on the inclusion
-      alone, so they are made once per inclusion and kept on it.  Each
-      call writes f's nonzero values as integers over one common
-      denominator d, sums integer value times count per class of G, and
-      makes one fraction, over d |H|, per nonzero class.  The sweep reads
-      no class map of G, so it is independent of fusion.
+      integers, how many r give each conjugate r^-1 y r; the sweep
+      depends on G alone, so it is made once per group and kept on it
+      (`_conjugate_sweep`).  Each inclusion tallies those counts over its
+      own elements, per H-class (`_conjugate_counts`), once, and keeps
+      the tally.  Each call writes f's nonzero values as integers over
+      one common denominator d, sums integer value times count per class
+      of G, and makes one fraction, over d |H|, per nonzero class.
+      Neither the sweep nor the tally reads a class map of G, so the
+      route is independent of fusion.
     * ``"fusion"``: (Ind f)(g) = |C_G(g)| * sum over H-classes [h] fusing
       into [g] of f(h) / |C_H(h)|; needs only class data of G, never an
       element sweep, so it scales to large ambient groups.

@@ -36,8 +36,10 @@ The Cayley table, `verify`, the conjugacy classes, `centralizer` and
 and `direct_product` record the one their construction proves, any other
 group decides it once, since stored generators need not generate the
 group.  The group keeps one breadth-first spanning tree of the Cayley
-graph of that set (`_spanning_tree`), walked once, on first use, and its
-conjugation steps (`_spanning_steps`), made once: the Cayley table,
+graph of that set (`_spanning_tree`): the permutation closure keeps the
+tree of the breadth-first walk that enumerates it, any other group walks
+it once, on first use.  It keeps its conjugation steps
+(`_spanning_steps`) too, made once: the Cayley table,
 `conjugates`, `hom_from_generator_images` on that set and
 `conjugation_orbits` read them rather than walking again.  An element's
 conjugates, a homomorphism's images, the inverse array and a column are
@@ -388,7 +390,8 @@ class FiniteGroup:
     def _spanning_tree(self) -> list[tuple]:
         """The edges (w, parent, k), w = parent * gens[k], of the
         breadth-first spanning tree of the Cayley graph of
-        `_spanning_generators` (`_generator_columns`), walked once and kept.
+        `_spanning_generators` (`_generator_columns`), walked once and kept;
+        the permutation closure keeps the one its enumeration walked.
 
         On a group with no recorded generating set, the walk of the stored
         generators decides it: they are kept if the walk spans the group,
@@ -553,6 +556,9 @@ def group_from_permutation_generators(degree, generators, label=None):
 
     Deterministic: the identity is index 0 and new elements appear in
     breadth-first order with the generators applied in the given order.
+    The group keeps the generators' columns and the breadth-first tree
+    of this walk as its spanning tree (`_spanning_tree`), so no later
+    walk repeats it.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g)
             for g in generators]
@@ -568,9 +574,11 @@ def group_from_permutation_generators(degree, generators, label=None):
     elements = [ident]
     index = {ident: 0}
     cols = [[] for _ in gens]       # cols[k][w] = index of w * gens[k]
-    for w in elements:
-        for g, col in zip(gens, cols):
-            y = w * g
+    tree = []                       # (i, w, k) for each new i = w * gens[k]
+    gen_cols = list(zip(range(len(gens)), gens, cols))
+    for w, x in enumerate(elements):
+        for k, g, col in gen_cols:
+            y = x * g
             i = index.get(y)
             if i is None:
                 if len(elements) >= cap:
@@ -578,13 +586,15 @@ def group_from_permutation_generators(degree, generators, label=None):
                         f"closure exceeds the element cap {cap}")
                 i = index[y] = len(elements)
                 elements.append(y)
+                tree.append((i, w, k))
             col.append(i)
     if label is None:
         label = f"<perm group on {degree} points>"
     G = FiniteGroup(label, elements, Permutation.__mul__, generators=gens)
-    # the walk above reached every element from the identity along gens
+    # the walk above reached every element from the identity along gens:
+    # it is the breadth-first tree that `_generator_columns` would walk
     G._index = index
-    G._spanning = [index[g] for g in gens]
+    G._spanning, G._tree = [index[g] for g in gens], tree
     G._columns.update(zip(G._spanning, cols))
     return G
 
@@ -853,16 +863,32 @@ class Homomorphism:
         edges are compared a whole column at a time: f read along the
         column of s in dom, against the column of f(s) in cod read along
         f.  2 * |dom| * |S| lookups, no product once those columns exist,
-        and no Cayley table.  The error names the first failing edge.
+        and no Cayley table.  The error names the first failing edge, or
+        what makes the image list malformed: a length other than |dom|,
+        checked first, or an image outside 0..|cod|-1, sought only once an
+        edge fails, as such an image fails one.
         """
         dom, cod = self.dom, self.cod
         f = self.images
+        if len(f) != dom.order:
+            raise NotAHomomorphismError(
+                f"not a homomorphism: {len(f)} images for the {dom.order} "
+                f"elements of {dom.label}")
         if f[0] != 0:
             raise NotAHomomorphismError("not a homomorphism: identity moves")
+        n = cod.order
         for s in dom._spanning_generators():
             lhs = _gather(f, dom.column(s))
-            rhs = _gather(cod.column(f[s]), f)
+            try:    # an image >= n raises here, a negative one reads wrong
+                rhs = _gather(cod.column(f[s]), f) if 0 <= f[s] < n else None
+            except IndexError:
+                rhs = None
             if lhs != rhs:
+                bad = next((a for a in f if not 0 <= a < n), None)
+                if bad is not None:
+                    raise NotAHomomorphismError(
+                        f"not a homomorphism: image {bad} is outside "
+                        f"0..{n - 1}, the elements of {cod.label}")
                 x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                 raise NotAHomomorphismError(
                     f"not a homomorphism: fails at edge ({x}, {s})")

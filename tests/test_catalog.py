@@ -26,7 +26,7 @@ def test_cap_is_checked_on_cache_hits(monkeypatch):
 
 
 def test_unknown_names():
-    for bad in ("Q8", "D7", "C0", "S0", ""):
+    for bad in ("Q8", "D7", "C0", "S0", "", "S03", "C007", "D08"):
         assert not is_catalog_name(bad)
     assert is_catalog_name("D10")
     assert is_catalog_name("trivial")

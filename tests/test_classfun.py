@@ -154,19 +154,22 @@ def test_induce_by_elements_without_a_table_equals_fusion(G, data):
     f = ClassFunction(S, data.draw(st.lists(
         fractions, min_size=S.classes.num_classes,
         max_size=S.classes.num_classes)))
-    for incl in maps:
-        with mock.patch.object(G, "mul", wraps=G.mul) as mul, \
-                mock.patch.object(classfun, "conjugates",
-                                  wraps=classfun.conjugates) as walks:
-            by_elements = induce(f, incl, strategy="elements")
-            # one tree walk per G-class, and no product
+    by_elements = []
+    with mock.patch.object(G, "mul", wraps=G.mul) as mul, \
+            mock.patch.object(classfun, "conjugates",
+                              wraps=classfun.conjugates) as walks:
+        for incl in maps:
+            by_elements.append(induce(f, incl, strategy="elements"))
+            # one tree walk per G-class on the first inclusion into G, kept
+            # on G: a later inclusion walks nothing
             assert walks.call_count == G.classes.num_classes
             # and its counts are kept: a second f sweeps nothing
-            assert induce(2 * f, incl, strategy="elements") == 2 * by_elements
+            assert induce(2 * f, incl, strategy="elements") == \
+                2 * by_elements[-1]
             assert walks.call_count == G.classes.num_classes
-        assert mul.call_count == 0
-        assert G._table is None
-        assert by_elements == induce(f, incl, strategy="fusion")
+    assert mul.call_count == 0
+    assert G._table is None
+    assert by_elements == [induce(f, incl, strategy="fusion") for incl in maps]
 
 
 CLASS_MAPS = ("class_of", "class_of_index", "class_of_desc")
@@ -243,6 +246,38 @@ def test_inclusions_into_one_group_keep_their_own_counts(C2):
     assert by_elements == [induce(f, h, strategy="fusion") for h in maps]
     assert [induce(f, h, strategy="elements") for h in reversed(maps)] == \
         by_elements[::-1]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_inclusions_into_one_group_tally_its_one_sweep(reverse):
+    d8 = fresh_inclusions()[0]
+    G = d8.cod
+    c3 = subgroup(G, closure(native_table(G), [
+        G.index_of(Permutation.from_cycles(4, [(0, 1, 2)]))]))[1]
+    maps = [c3, d8] if reverse else [d8, c3]
+    with mock.patch.object(classfun, "conjugates",
+                           wraps=classfun.conjugates) as walks:
+        by_tally = [classfun._conjugate_counts(m) for m in maps]
+    assert walks.call_count == G.classes.num_classes
+    assert by_tally == [sweep_counts(m, mul_conjugates(G)) for m in maps]
+
+
+@pytest.mark.parametrize("broken, shown", [
+    ("two conjugate representatives",
+     "is conjugate to the representatives of classes 1 and 5"),
+    ("a class missed", "is conjugate to no class representative")])
+def test_sweep_refuses_a_broken_class_list(broken, shown):
+    incl = fresh_inclusions()[0]
+    G = incl.cod
+    reps = G.classes.reps
+    if broken == "a class missed":
+        G.classes.reps = reps[:-1]
+    else:
+        other = next(x for x in classfun.conjugates(G, reps[1])
+                     if x != reps[1])
+        G.classes.reps = reps + (other,)
+    with pytest.raises(AssertionError, match=shown):
+        induce(one(incl.dom), incl, strategy="elements")
 
 
 def test_induce_by_elements_rejects_a_map_that_is_not_injective(S3, C2):

@@ -849,10 +849,11 @@ def _fresh_group(name):
             "not generating": lambda: with_generators(S3, [t])}[name]()
 
 
-# "not generating": one walk tests the stored generators, one walks
+# "closure": the closure keeps the tree its enumeration walked; "not
+# generating": one walk tests the stored generators, one walks
 # find_generators
 @pytest.mark.parametrize("name,walks", [
-    ("closure", 1), ("stored generators", 1), ("wreath level", 1),
+    ("closure", 0), ("stored generators", 1), ("wreath level", 1),
     ("restored", 1), ("not generating", 2)])
 def test_spanning_walk_is_made_once_per_group(name, walks):
     A = _fresh_group(name)
@@ -871,7 +872,15 @@ def test_spanning_walk_is_made_once_per_group(name, walks):
             centralizer(A, r)
         hom_from_generator_images(A, gens, A, gens)
         Homomorphism(A, A, range(A.order)).verify()
-    assert len(made) == walks and made[-1] == gens
+    assert len(made) == walks and made[-1:] == [gens][:walks]
+
+
+@walk_settings
+@given(perm_groups())
+def test_closure_keeps_the_tree_of_its_enumeration(G):
+    tree = G._tree
+    assert G._spanning_tree() is tree
+    assert tree == G._generator_columns(G._spanning_generators())
 
 
 def test_hom_from_generator_images_keeps_its_error_types(S3, C2):
@@ -890,6 +899,20 @@ def test_hom_from_generator_images_keeps_its_error_types(S3, C2):
         with pytest.raises(ValueError, match=match) as err:
             hom_from_generator_images(S3, gens, C2, images)
         assert not isinstance(err.value, NotAHomomorphismError)
+
+
+@pytest.mark.parametrize("malformed, shown", [
+    (lambda f: f + [0], "7 images for the 6 elements of S3"),
+    (lambda f: f[:-1], "5 images for the 6 elements of S3"),
+    (lambda f: f[:-1] + [2], "image 2 is outside 0..1"),
+    (lambda f: f[:-1] + [-1], "image -1 is outside 0..1"),
+], ids=["one-too-long", "one-too-short", "image-past-the-end",
+        "negative-image"])
+def test_verify_names_a_malformed_image_list(S3, C2, malformed, shown):
+    sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])
+    with pytest.raises(NotAHomomorphismError,
+                       match=f"^not a homomorphism: {shown}"):
+        Homomorphism(S3, C2, malformed(sgn.images)).verify()
 
 
 @walk_settings
