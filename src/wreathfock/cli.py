@@ -22,9 +22,9 @@ from .fock import DEFAULT_MAX_LEVEL, graded_dimension_series, monomial_value
 from .golden import run_all
 from .groups import (DEFAULT_MAX_ORDER, ENV_MAX_ORDER, MAX_ORDER, FiniteGroup,
                      Homomorphism, ResourceLimitError, max_order_cap)
-from .pullback import (build_pullback, class_pair_splitting,
-                       decomposition_report, is_conjugacy_closed,
-                       n_cycle_classes_closed, splitting_pattern)
+from .pullback import (class_pair_splitting, closedness_witness,
+                       decomposition_report, n_cycle_classes_closed,
+                       splitting_pattern)
 from .wreath import TypeMatrix, _level, centralizer_order, class_count_series
 
 
@@ -248,14 +248,6 @@ def _load_scenario(args):
     return alpha, beta, class_pair_splitting(alpha, beta)
 
 
-def _witness(alpha, beta, hits):
-    """None for a conjugacy-closed pullback, else the witness pair of
-    `is_conjugacy_closed`, the one output that depends on the carrier's
-    element order: only then is the carrier built."""
-    return (is_conjugacy_closed(build_pullback(alpha, beta).incl)[1]
-            if max(hits) > 1 else None)
-
-
 def _header(alpha, beta):
     """The labels of G, H and K, and the pullback order |G| |H| / |K|."""
     G, H, K = alpha.dom, beta.dom, alpha.cod
@@ -274,7 +266,7 @@ def cmd_pullback_build(args) -> int:
 
 def cmd_pullback_check_closed(args) -> int:
     alpha, beta, hits = _load_scenario(args)
-    witness = _witness(alpha, beta, hits)
+    witness = closedness_witness(alpha, beta, hits)
     closed = witness is None
     doc = {"conj_closed": closed,
            "witness": [repr(w) for w in witness] if witness else None,
@@ -288,7 +280,8 @@ def cmd_pullback_check_closed(args) -> int:
 
 def cmd_pullback_verify_iso(args) -> int:
     alpha, beta, hits = _load_scenario(args)
-    rep = decomposition_report(alpha, beta, hits, _witness(alpha, beta, hits))
+    rep = decomposition_report(alpha, beta, hits,
+                               closedness_witness(alpha, beta, hits))
     G, H, K, order = _header(alpha, beta)
     doc = {"G": G, "H": H, "K": K, "order": order, **rep.to_json()}
     lines = [f"pullback {G} x_{K} {H}: order {order}",

@@ -143,7 +143,9 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        # a bool or a float equal to an index would sort as that index
+        if not {*map(type, images)} <= {int} \
+                or sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
 
@@ -865,8 +867,9 @@ class Homomorphism:
         f.  2 * |dom| * |S| lookups, no product once those columns exist,
         and no Cayley table.  The error names the first failing edge, or
         what makes the image list malformed: a length other than |dom|,
-        checked first, or an image outside 0..|cod|-1, sought only once an
-        edge fails, as such an image fails one.
+        checked first, or an image that is not an int in 0..|cod|-1,
+        sought only once an edge fails, as such an image fails one: a float
+        indexes no column.
         """
         dom, cod = self.dom, self.cod
         f = self.images
@@ -879,15 +882,18 @@ class Homomorphism:
         n = cod.order
         for s in dom._spanning_generators():
             lhs = _gather(f, dom.column(s))
-            try:    # an image >= n raises here, a negative one reads wrong
+            # an image >= n raises IndexError here and a float TypeError;
+            # a negative one reads wrong
+            try:
                 rhs = _gather(cod.column(f[s]), f) if 0 <= f[s] < n else None
-            except IndexError:
+            except (IndexError, TypeError):
                 rhs = None
             if lhs != rhs:
-                bad = next((a for a in f if not 0 <= a < n), None)
+                bad = next((a for a in f
+                            if type(a) is not int or not 0 <= a < n), None)
                 if bad is not None:
                     raise NotAHomomorphismError(
-                        f"not a homomorphism: image {bad} is outside "
+                        f"not a homomorphism: image {bad!r} is outside "
                         f"0..{n - 1}, the elements of {cod.label}")
                 x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                 raise NotAHomomorphismError(

@@ -10,11 +10,13 @@ Every verdict is read off `hits`, the number of Gamma-classes over each
 class pair of G x H.  `class_pair_splitting` counts them as double cosets
 in K (orbits of `groups._orbit_partition`), from classes and centralizers
 of G, H and K, so neither G x H nor Gamma is built; each centralizer image
-in K is closed once, not once per class pair.  The carrier
-(`build_pullback`) is the oracle: its inclusion's class map gives the same
-counts (`_carrier_hits`), which `is_conjugacy_closed`, `fusion_pattern` and
-`verify_class_ring_decomposition` read, and it alone supplies the witness
-of a pullback that is not closed.  The tensor dimension, the rank
+in K is closed once, not once per class pair.  The witness of a pullback
+that is not closed comes from one walk of conjugates in G and one in H
+(`closedness_witness`).  The carrier (`build_pullback`) is the oracle: its
+inclusion's class map gives the same counts (`_carrier_hits`), which
+`is_conjugacy_closed`, `fusion_pattern` and
+`verify_class_ring_decomposition` read, and `is_conjugacy_closed` the same
+witness.  The tensor dimension, the rank
 of the restriction map and conjugacy-closedness all have closed forms in
 `hits` and the class maps of alpha and beta.  The relation and restriction
 matrices stay available (`tensor_over_classk`, `restriction_map_matrix`) as
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional
 from . import ratlinalg
 from .classfun import indicator, pullback_along
 from .groups import (FiniteGroup, Homomorphism, _gather, _orbit_partition,
-                     centralizer, compose_homs, direct_product,
+                     centralizer, compose_homs, conjugates, direct_product,
                      find_generators_on, subgroup)
 from .wreath import (TypeMatrix, WreathElement, _check_level,
                      class_count_series, quotient_to_symmetric, wreath_group)
@@ -167,7 +169,8 @@ def is_conjugacy_closed(incl: Homomorphism):
     descriptors: conjugate in the ambient group, both inside the subgroup,
     not conjugate there.  x represents the first subgroup class (in class
     order) whose ambient class holds another (`_carrier_hits`), y the next
-    one in that ambient class.
+    one in that ambient class.  On a pullback's carrier this is the oracle
+    for `closedness_witness`, which the `pullback` commands run.
     """
     amb, hits = incl.class_map, _carrier_hits(incl)
     j = next((j for j, a in enumerate(amb) if hits[a] > 1), None)
@@ -176,6 +179,45 @@ def is_conjugacy_closed(incl: Homomorphism):
     reps = incl.dom.classes.rep_descs
     return False, (incl.map_desc(reps[j]),
                    incl.map_desc(reps[amb.index(amb[j], j + 1)]))
+
+
+def closedness_witness(alpha: Homomorphism, beta: Homomorphism,
+                       hits: list[int]) -> Optional[tuple]:
+    """The witness of `is_conjugacy_closed` on the carrier's inclusion,
+    from G, H and `hits` (`class_pair_splitting`) alone: neither G x H nor
+    the carrier is built.  None when no class pair has two or more
+    Gamma-classes.
+
+    The carrier lists its pairs (g, h) in the order g * |H| + h, and its
+    classes come by least member, each represented by it.  So x = (g0, h0)
+    is the least pair whose class pair has hits > 1, and y the least pair
+    of that class pair outside the Gamma-class of x.  A pair (g, h) is
+    Gamma-conjugate to x iff r^-1 g0 r = g and s^-1 h0 s = h for some r, s
+    with alpha(r) = beta(s): iff the images alpha(r) of the r that conjugate
+    g0 to g meet the images beta(s) of the s that conjugate h0 to h.  One
+    walk of `conjugates` in G and one in H give both sets.
+    """
+    if max(hits) < 2:
+        return None
+    cG, cH = alpha.dom.classes.class_of, beta.dom.classes.class_of
+    kH = beta.dom.classes.num_classes
+    rows = [hits[i:i + kH] for i in range(0, len(hits), kH)]
+    g0 = next(g for g, rho in enumerate(cG) if max(rows[rho]) > 1)
+    h0 = next(h for h, gam in enumerate(cH)
+              if rows[cG[g0]][gam] > 1 and beta(h) == alpha(g0))
+
+    def images_by_conjugate(f, x):
+        # the images f(r) of the r with r^-1 x r = c, for each conjugate c,
+        # in increasing order of c
+        out = {}
+        for r, c in enumerate(conjugates(f.dom, x)):
+            out.setdefault(c, set()).add(f(r))
+        return dict(sorted(out.items()))
+
+    A, B = images_by_conjugate(alpha, g0), images_by_conjugate(beta, h0)
+    y = next((g, h) for g in A for h in B
+             if (g, h) > (g0, h0) and alpha(g) == beta(h) and not A[g] & B[h])
+    return (g0, h0), y
 
 
 def restriction_map_matrix(incl: Homomorphism):
@@ -287,7 +329,10 @@ def decomposition_report(alpha: Homomorphism, beta: Homomorphism,
                          witness: Optional[tuple]) -> DecompositionReport:
     """The decomposition verdict from the class maps of alpha and beta and
     `hits`, the number of Gamma-classes over each class pair of G x H
-    (`class_pair_splitting`); `witness` is reported as given.
+    (`class_pair_splitting`); `witness` is reported as given.  The
+    `pullback verify-iso` command passes the counts of
+    `class_pair_splitting` and the witness of `closedness_witness`, and
+    `verify_class_ring_decomposition` those of the carrier.
 
     The relation for K-class x and the indicator pair (rho, gam) is
     ([alpha(rho) = x] - [beta(gam) = x]) e_rho (x) e_gam, so the relations

@@ -130,33 +130,70 @@ def test_pullback_verify_iso_scenario(capsys):
     assert doc["order"] == 24 and doc["is_isomorphism"] is True
 
 
-@pytest.mark.parametrize("source", [
-    ["--scenario", str(SCENARIOS / "d12_dic3.json")],
-    ["--scenario", str(SCENARIOS / "c2xc3_trivial.json")],
-    ["--G", "S6", "--H", "S6", "--K", "trivial"],
-], ids=["d12-dic3", "c2xc3-trivial", "S6-S6-trivial"])
+def sign_scenario(path, n):
+    """Write the scenario S_n x_C2 S_n along the sign maps to `path`."""
+    S = catalog_group(f"S{n}")
+    sign = {"generator_images": [int(S.elements[g].sign() < 0)
+                                 for g in S.generator_indices]}
+    path.write_text(json.dumps({"G": f"S{n}", "H": f"S{n}", "K": "C2",
+                                "alpha": sign, "beta": sign}))
+    return str(path)
+
+
+@pytest.mark.parametrize("source,witness", [
+    (["--scenario", str(SCENARIOS / "d12_dic3.json")], None),
+    (["--scenario", str(SCENARIOS / "c2xc3_trivial.json")], None),
+    (["--G", "S6", "--H", "S6", "--K", "trivial"], None),
+    (["--scenario", str(SCENARIOS / "s3xs3.json")], ["(2, 2)", "(2, 5)"]),
+    (["--scenario", "S6-sign"], ["(3, 3)", "(3, 4)"]),
+], ids=["d12-dic3", "c2xc3-trivial", "S6-S6-trivial", "s3xs3", "S6-S6-sign"])
 def test_closed_pullback_commands_build_no_carrier(monkeypatch, capsys,
-                                                   source):
-    """The verdicts of a closed pullback are class data of G, H and K: with
-    the carrier and every direct product refused, all three commands still
-    answer, also where |G x H| = 518 400 is above the element cap."""
+                                                   tmp_path, source, witness):
+    """The verdicts of a pullback, and the witness of one that is not
+    closed, are class data of G, H and K: with the carrier, every direct
+    product and every subgroup refused, all three commands still answer
+    under the default cap, also where |G x H| = 518 400 is above it."""
     def refuse(*args, **kwargs):
         raise AssertionError("a class-level verdict built a carrier")
 
-    monkeypatch.setattr(cli, "build_pullback", refuse)
-    monkeypatch.setattr(groups, "direct_product", refuse)
-    monkeypatch.setattr(pullback, "direct_product", refuse)
+    for module, name in ((pullback, "build_pullback"),
+                         (pullback, "is_conjugacy_closed"),
+                         (pullback, "direct_product"), (pullback, "subgroup"),
+                         (groups, "direct_product"), (groups, "subgroup")):
+        monkeypatch.setattr(module, name, refuse)
+    if source[-1] == "S6-sign":
+        source = ["--scenario", sign_scenario(tmp_path / "s6.json", 6)]
     docs = {}
     for command in ("build", "check-closed", "verify-iso"):
         assert main(["pullback", command, *source, "--format", "json"]) == 0
         docs[command] = json.loads(capsys.readouterr().out)
-    assert docs["check-closed"]["conj_closed"] is True
-    assert docs["verify-iso"]["is_isomorphism"] is True
+    closed = witness is None
+    assert docs["check-closed"]["conj_closed"] is closed
+    assert docs["verify-iso"]["is_isomorphism"] is closed
+    assert docs["check-closed"]["witness"] == docs["verify-iso"]["witness"] \
+        == witness
     assert docs["build"]["num_classes"] == \
         docs["verify-iso"]["carrier_classes"]
     if source[0] == "--G":
         assert docs["build"]["order"] == docs["verify-iso"]["order"] == 518400
         assert docs["build"]["num_classes"] == 121
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_pullback_witness_is_bounded_by_g_and_h_not_g_x_h(capsys, tmp_path,
+                                                           fmt):
+    """S4 x_C2 S4 along the sign maps is not closed.  Its verdicts and
+    witness, the carrier's (tests/test_pullback.py), need no group above
+    |S4| = 24, so a cap of 400, below |S4 x S4| = 576, prints the same
+    bytes as the default cap."""
+    path = sign_scenario(tmp_path / "s4.json", 4)
+    for command in ("check-closed", "verify-iso"):
+        out = []
+        for cap in ("400", "200000"):
+            assert main(["pullback", command, "--scenario", path,
+                         "--max-order", cap, "--format", fmt]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
 
 
 # the commands of the README's "Command line" section, with its group file
@@ -206,14 +243,6 @@ def test_no_library_route_builds_a_cayley_table(monkeypatch, capsys,
     pullback.semidirect_product_iso(C2, C3, 2)
     assert pullback.n_cycle_closed_brute(C2, C3, 2) == \
         pullback.n_cycle_classes_closed(C2, C3, 2)
-
-
-def test_pullback_that_is_not_closed_builds_the_carrier_for_its_witness(
-        capsys):
-    assert main(["pullback", "check-closed", "--scenario",
-                 str(SCENARIOS / "s3xs3.json"), "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["witness"] == \
-        ["(2, 2)", "(2, 5)"]
 
 
 @pytest.mark.parametrize("content,shown", [

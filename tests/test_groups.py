@@ -797,10 +797,17 @@ def s3_descriptors():
     (lambda: hom_from_generator_images(catalog_group("S3"), s3_descriptors(),
                                        catalog_group("C2"), [1, 0]),
      ValueError, r"not an element index of S3: \(0 1\)"),
+    (lambda: Permutation([0, 1.0]), ValueError,
+     r"not a permutation of 0\.\.1: \(0, 1\.0\)"),
+    (lambda: Permutation([True, False]), ValueError,
+     r"not a permutation of 0\.\.1: \(True, False\)"),
+    (lambda: group_from_permutation_generators(2, [[1.0, 0]]), ValueError,
+     r"not a permutation of 0\.\.1: \(1\.0, 0\)"),
 ], ids=["table-above-limit", "product-across-degrees",
         "generator-of-another-degree", "conjugates-of-a-descriptor",
         "conjugates-of-a-bool", "centralizer-of-a-float",
-        "hom-from-descriptors"])
+        "hom-from-descriptors", "permutation-of-a-float",
+        "permutation-of-bools", "closure-of-a-float-generator"])
 def test_groups_refuses_bad_input_by_name(call, error, shown):
     with pytest.raises(error, match=f"^{shown}$") as err:
         call()
@@ -906,8 +913,9 @@ def test_hom_from_generator_images_keeps_its_error_types(S3, C2):
     (lambda f: f[:-1], "5 images for the 6 elements of S3"),
     (lambda f: f[:-1] + [2], "image 2 is outside 0..1"),
     (lambda f: f[:-1] + [-1], "image -1 is outside 0..1"),
+    (lambda f: [f[0], 1.0, *f[2:]], "image 1.0 is outside 0..1"),
 ], ids=["one-too-long", "one-too-short", "image-past-the-end",
-        "negative-image"])
+        "negative-image", "float-image"])
 def test_verify_names_a_malformed_image_list(S3, C2, malformed, shown):
     sgn = hom_from_generator_images(S3, S3.generator_indices, C2, [1, 0])
     with pytest.raises(NotAHomomorphismError,

@@ -19,8 +19,9 @@ from wreathfock.groups import (ConjugacyClasses, Permutation, direct_product,
                                group_from_permutation_generators,
                                hom_from_generator_images, subgroup)
 from wreathfock.pullback import (_wreath_split, build_pullback,
-                                 class_pair_splitting, decomposition_report,
-                                 fusion_pattern, is_conjugacy_closed,
+                                 class_pair_splitting, closedness_witness,
+                                 decomposition_report, fusion_pattern,
+                                 is_conjugacy_closed,
                                  n_cycle_classes_closed, n_cycle_closed_brute,
                                  restriction_map_matrix,
                                  semidirect_product_iso, tensor_over_classk,
@@ -421,6 +422,31 @@ def test_class_route_closes_each_centralizer_image_once(
                for c in cent.call_args_list) == k_centralizers
 
 
+@pytest.mark.parametrize("source", [
+    "s3xs3", "d12_dic3", "c2xc3_trivial", ("S3", "S3", "C2"),
+    ("S4", "S4", "C2"), ("S5", "S5", "C2"), ("S4", "S5", "C2"),
+    ("S4", "S4", "S3")],
+    ids=["s3xs3", "d12_dic3", "c2xc3_trivial", "S3-S3", "S4-S4", "S5-S5",
+         "S4-S5", "S4-S4-pairings"])
+def test_closedness_witness_is_the_carrier_witness(source):
+    """The witness named from G and H is the carrier's.  It relies on the
+    carrier's classes coming in increasing order of their least members,
+    each represented by it, as the test checks first.  D12 x_S3 Dic3 is
+    the bundled d12_dic3 scenario."""
+    if isinstance(source, str):
+        alpha, beta = _load_scenario_file(SCENARIOS / f"{source}.json")
+    else:
+        K = catalog_group(source[2])
+        to_k = _to_k if K.order == 2 else _to_s3
+        alpha, beta = (to_k(catalog_group(g), K) for g in source[:2])
+    pb = build_pullback(alpha, beta)
+    cls = pb.carrier.classes
+    least = [min(cls.members(k)) for k in range(cls.num_classes)]
+    assert list(cls.reps) == least == sorted(least)
+    assert closedness_witness(alpha, beta, class_pair_splitting(
+        alpha, beta)) == is_conjugacy_closed(pb.incl)[1]
+
+
 # Over C2 an ambient class holds at most two carrier classes.  These
 # subgroups put three subgroup classes in one ambient class, or several
 # ambient classes hold more than one, which is where the witness rule
@@ -517,6 +543,8 @@ def test_block_pullbacks_match_oracles_and_the_witness_rule(maps):
     pb = build_pullback(*maps)
     check_against_oracles(pb)
     assert is_conjugacy_closed(pb.incl) == by_ambient_rule(pb.incl)
+    assert closedness_witness(*maps, class_pair_splitting(*maps)) == \
+        is_conjugacy_closed(pb.incl)[1]
 
 
 @pytest.mark.parametrize("base,n", [("C2", 3), ("C4", 2), ("S3", 2),
